@@ -13,10 +13,9 @@ interleaved across backends (same drift-cancelling idiom as bench_obs):
 
 Backends are selected via the ``REPRO_KERNEL`` environment variable
 (``reference`` / ``fast`` / ``native``), the same escape hatch users
-have.  The native tier compiles through numba when importable, else
-through the bundled C source via ``cc``; when neither is available it
-falls back to the numpy fast path and the report records
-``native_flavor: null``.  Results go to
+have.  The native tier (the default) compiles the bundled C source via
+``cc``; without a compiler it falls back to the numpy fast path and the
+report records ``native_flavor: null``.  Results go to
 ``benchmarks/out/BENCH_kernel.json`` **and** to the repo-root
 ``BENCH_kernel.json``, which is committed per-PR (ROADMAP item 2c) so
 the bench trajectory is diffable in review.  The run **fails** if the
@@ -113,7 +112,7 @@ def bench_kernel_speedup(benchmark, out_dir):
         return run
 
     # warm imports, lattice caches, the page cache, and (for the native
-    # tier) the one-off numba JIT / cc compile out of the measurement
+    # tier) the one-off cc compile out of the measurement
     with_backend("fast", run_e1)
     flavor = with_backend("native", lambda: native_flavor())
     with_backend("native", solve_dp)
@@ -171,7 +170,7 @@ def bench_kernel_speedup(benchmark, out_dir):
         f"(fast={dp_fast:.3f}s, reference={dp_ref:.3f}s)"
     )
     if flavor is not None:
-        # with no numba and no cc the native tier *is* the fast path, so
+        # without a C compiler the native tier *is* the fast path, so
         # there is nothing to gate; with a compiled flavor it must win.
         assert dp_native <= dp_fast, (
             f"native kernel ({flavor}) is slower than the numpy fast path on "

@@ -101,7 +101,7 @@ def optimal_box_profile(
         budgets = tuple(s * h for h in hladder)
         solved = native_dp_solve(kern, hladder, budgets, tuple(costs), s, _INF)
         if solved is not None:
-            # REPRO_KERNEL=native: the whole relaxation runs compiled,
+            # native kernel tier: the whole relaxation runs compiled,
             # with the exact tie-breaking of the python sweep below
             # (ascending start, ascending ladder level, strict '<'), so
             # parents — not just distances — stay bit-identical.

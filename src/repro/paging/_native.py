@@ -1,4 +1,4 @@
-"""Compiled box-kernel primitives behind ``REPRO_KERNEL=native``.
+"""Compiled box-kernel primitives: the production kernel tier.
 
 The numpy fast path (:mod:`repro.paging.kernel`) already amortizes the
 reuse-distance precompute, but three inner loops remain bound by python
@@ -11,26 +11,27 @@ or by O(window) vectorized work per probe:
 * the offline green DP relaxation (a python ``zip`` loop over every
   reachable position × ladder level).
 
-This module provides those loops as compiled primitives with two
-flavors, tried in order:
-
-* ``numba`` — ``@njit`` kernels, when the optional dependency imports;
-* ``cc`` — a tiny C translation unit compiled on demand with the
-  system C compiler into a content-addressed shared library and loaded
-  through :mod:`ctypes` (no third-party dependency at all).
-
-Both flavors implement the *identical* integer algorithms, so every
-value they produce — reuse distances, box endpoints, DP distances and
+This module compiles those loops from one small C translation unit with
+the system C compiler into a content-addressed shared library and loads
+it through :mod:`ctypes` (no third-party dependency at all).  Every
+value it produces — reuse distances, box endpoints, DP distances and
 parent pointers — is bit-identical to the numpy fast path and to the
-dict-LRU reference.  When neither flavor is available
-:func:`native_ops` returns ``None`` and ``REPRO_KERNEL=native``
-gracefully degrades to the numpy fast path (see
-:func:`repro.paging.kernel.kernel_backend`).
+dict-LRU reference.  With ``$REPRO_KERNEL`` unset the kernel runs on
+this tier whenever the library builds; when it cannot be built (no
+compiler) :func:`native_ops` returns ``None`` and the kernel falls back
+to the numpy fast path (see :func:`repro.paging.kernel.kernel_backend`).
 
-``$REPRO_NATIVE`` pins the flavor: ``auto`` (default), ``numba``,
-``cc``, or ``off`` (pretend neither is available — used by CI to prove
-the fallback).  ``$REPRO_NATIVE_CACHE`` overrides the build directory
-for the cc flavor.
+``$REPRO_NATIVE`` pins the flavor: ``auto`` (default) or ``cc`` build
+the library, ``off`` pretends no compiler exists (CI uses it to keep
+the numpy fallback covered).  The library is cached per user in
+``$REPRO_NATIVE_CACHE`` (default ``$TMPDIR/repro-native-<uid>``,
+created with mode 0700).  Its source is public, so its content-addressed
+name is predictable: before writing into the cache or loading from it,
+the directory and the library are checked with ``lstat`` — no symlink,
+owned by the current user, not group- or other-writable.  If a check
+fails, the library is built in a fresh :func:`tempfile.mkdtemp`
+directory instead, with a :class:`RuntimeWarning`, and nothing in the
+suspect directory is loaded.
 """
 
 from __future__ import annotations
@@ -38,19 +39,22 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import shutil
+import stat
 import subprocess
 import sys
 import tempfile
 import threading
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 import numpy as np
 
 __all__ = ["NativeOps", "native_ops", "native_flavor", "NATIVE_ENV", "clear_native_cache"]
 
-#: Environment variable pinning the native flavor (auto/numba/cc/off).
+#: Environment variable pinning the native flavor (auto/cc/off).
 NATIVE_ENV = "REPRO_NATIVE"
 #: Environment variable overriding the cc build cache directory.
 NATIVE_CACHE_ENV = "REPRO_NATIVE_CACHE"
@@ -176,8 +180,8 @@ class NativeOps:
     """Flavor-agnostic handle to the compiled kernel primitives.
 
     Every callable takes contiguous int64 numpy arrays and plain ints;
-    output arrays are filled in place.  ``flavor`` is ``"numba"`` or
-    ``"cc"`` (reported by benchmarks and the ``sim.*`` metrics).
+    output arrays are filled in place.  ``flavor`` is ``"cc"`` (reported
+    by benchmarks and the ``sim.*`` metrics).
     """
 
     flavor: str
@@ -194,11 +198,6 @@ class NativeOps:
     box_probe: Callable[..., List[int]]
 
 
-def _i64(arr: np.ndarray) -> np.ndarray:
-    """Contiguous int64 view/copy (inputs are int64 already on hot paths)."""
-    return np.ascontiguousarray(arr, dtype=np.int64)
-
-
 # --------------------------------------------------------------------- #
 # cc flavor: compile-on-demand C shared library, loaded via ctypes
 # --------------------------------------------------------------------- #
@@ -209,36 +208,76 @@ def _cc_build_dir() -> Path:
     return Path(tempfile.gettempdir()) / f"repro-native-{os.getuid() if hasattr(os, 'getuid') else 'u'}"
 
 
-def _compile_cc() -> Optional[ctypes.CDLL]:
-    """Compile (once, content-addressed) and load the C translation unit."""
-    digest = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
-    suffix = ".so" if sys.platform != "win32" else ".dll"
-    build = _cc_build_dir()
-    lib_path = build / f"repro_kernel_{digest}{suffix}"
-    if not lib_path.exists():
+def _private(path: Path, kind: Callable[[int], bool]) -> bool:
+    """``path`` is a ``kind`` (``stat.S_ISDIR``/``S_ISREG``; a symlink is
+    neither) owned by this user and not group- or other-writable."""
+    try:
+        st = os.lstat(path)
+    except OSError:
+        return False
+    if not kind(st.st_mode):
+        return False
+    if not hasattr(os, "getuid"):  # no POSIX ownership to check
+        return True
+    return st.st_uid == os.getuid() and not st.st_mode & 0o022
+
+
+def _build_and_load(build: Path, lib_path: Path) -> Optional[ctypes.CDLL]:
+    """Compile into ``build`` unless ``lib_path`` exists, then load it.
+
+    Each build compiles in its own private scratch directory and lands
+    with an atomic rename, so concurrent builds never see a torn file.
+    """
+    if not os.path.lexists(lib_path):
         compiler = os.environ.get("CC") or "cc"
         try:
-            build.mkdir(parents=True, exist_ok=True)
-            src = build / f"repro_kernel_{digest}.c"
-            src.write_text(_C_SOURCE)
-            with tempfile.NamedTemporaryFile(
-                dir=build, suffix=suffix + ".tmp", delete=False
-            ) as tmp:
-                tmp_path = tmp.name
-            cmd = [compiler, "-O2", "-shared", "-fPIC", "-o", tmp_path, str(src)]
-            proc = subprocess.run(
-                cmd, capture_output=True, timeout=120, check=False
-            )
-            if proc.returncode != 0:
-                os.unlink(tmp_path)
-                return None
-            os.replace(tmp_path, lib_path)  # atomic under concurrent builds
+            with tempfile.TemporaryDirectory(dir=build) as scratch:
+                src = Path(scratch) / "kernel.c"
+                out = Path(scratch) / lib_path.name
+                src.write_text(_C_SOURCE)
+                cmd = [compiler, "-O2", "-shared", "-fPIC", "-o", str(out), str(src)]
+                proc = subprocess.run(cmd, capture_output=True, timeout=120, check=False)
+                if proc.returncode != 0:
+                    return None
+                os.chmod(out, 0o700)
+                os.replace(out, lib_path)
         except (OSError, subprocess.SubprocessError):
             return None
     try:
         return ctypes.CDLL(str(lib_path))
     except OSError:
         return None
+
+
+def _compile_cc() -> Optional[ctypes.CDLL]:
+    """Compile (once, content-addressed) and load the C translation unit."""
+    digest = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
+    suffix = ".so" if sys.platform != "win32" else ".dll"
+    build = _cc_build_dir()
+    lib_path = build / f"repro_kernel_{digest}{suffix}"
+    try:
+        build.mkdir(mode=0o700, parents=True, exist_ok=True)
+    except OSError:
+        pass
+    if _private(build, stat.S_ISDIR) and (
+        not os.path.lexists(lib_path) or _private(lib_path, stat.S_ISREG)
+    ):
+        return _build_and_load(build, lib_path)
+    warnings.warn(
+        f"native kernel cache {build} is missing or not private to this user; "
+        "building the kernel in a fresh temporary directory instead",
+        RuntimeWarning,
+        stacklevel=2,
+    )
+    try:
+        fresh = Path(tempfile.mkdtemp(prefix="repro-native-"))
+    except OSError:
+        return None
+    try:
+        # a loaded library stays mapped after its file is removed
+        return _build_and_load(fresh, fresh / lib_path.name)
+    finally:
+        shutil.rmtree(fresh, ignore_errors=True)
 
 
 def _cc_ops() -> Optional[NativeOps]:
@@ -321,177 +360,32 @@ def _cc_ops() -> Optional[NativeOps]:
 
 
 # --------------------------------------------------------------------- #
-# numba flavor
-# --------------------------------------------------------------------- #
-def _numba_ops() -> Optional[NativeOps]:
-    try:
-        from numba import njit  # type: ignore
-    except ImportError:
-        return None
-
-    @njit(cache=True)
-    def _nb_reuse_sweep(prev, lo, hi, cold, tree, cap, reuse):  # pragma: no cover — jit
-        for i in range(hi):
-            j = prev[i]
-            if j >= 0:
-                if i >= lo:
-                    acc = i - 1 - j
-                    x = i
-                    while x > 0:
-                        acc -= tree[x]
-                        x -= x & (-x)
-                    x = j + 1
-                    while x > 0:
-                        acc += tree[x]
-                        x -= x & (-x)
-                    reuse[i] = acc
-                x = j + 1
-                while x <= cap:
-                    tree[x] += 1
-                    x += x & (-x)
-            elif i >= lo:
-                reuse[i] = cold
-
-    @njit(cache=True)
-    def _nb_box_run(prev, reuse, n, start, height, budget, s, out3):  # pragma: no cover — jit
-        i = start
-        t = np.int64(0)
-        hits = np.int64(0)
-        while i < n:
-            c = 1 if (prev[i] >= start and reuse[i] < height) else s
-            if t + c > budget:
-                break
-            t += c
-            if c == 1:
-                hits += 1
-            i += 1
-        out3[0] = i - start
-        out3[1] = hits
-        out3[2] = t
-
-    @njit(cache=True)
-    def _nb_ladder_block(prev, lev, n, L, budgets, s, q0, B, ends_out):  # pragma: no cover — jit
-        for b in range(B):
-            q = q0 + b
-            for l in range(L):
-                budget = budgets[l]
-                t = np.int64(0)
-                i = q
-                while i < n:
-                    c = 1 if (prev[i] >= q and lev[i] <= l) else s
-                    if t + c > budget:
-                        break
-                    t += c
-                    i += 1
-                ends_out[b * L + l] = i
-
-    @njit(cache=True)
-    def _nb_dp_solve(prev, lev, n, L, budgets, costs, heights, s, inf, dist, parent_pos, parent_h):  # pragma: no cover — jit
-        for q in range(n):
-            d = dist[q]
-            if d == inf:
-                continue
-            for l in range(L):
-                budget = budgets[l]
-                t = np.int64(0)
-                i = q
-                while i < n:
-                    c = 1 if (prev[i] >= q and lev[i] <= l) else s
-                    if t + c > budget:
-                        break
-                    t += c
-                    i += 1
-                nd = d + costs[l]
-                if nd < dist[i]:
-                    dist[i] = nd
-                    parent_pos[i] = q
-                    parent_h[i] = heights[l]
-
-    tls = threading.local()
-
-    def _out():
-        out = getattr(tls, "out", None)
-        if out is None:
-            out = tls.out = np.empty(3, dtype=np.int64)
-        return out
-
-    def box_run(prev, reuse, n, start, height, budget, s):
-        out = _out()
-        _nb_box_run(prev, reuse, n, start, height, budget, s, out)
-        return out.tolist()
-
-    def prepare(prev, reuse):
-        return (prev, reuse)
-
-    def box_probe(handle, n, start, height, budget, s):
-        try:
-            out = tls.out
-        except AttributeError:
-            out = tls.out = np.empty(3, dtype=np.int64)
-        _nb_box_run(handle[0], handle[1], n, start, height, budget, s, out)
-        return out.tolist()
-
-    def ladder_block(prev, lev, n, budgets, s, q0, B, ends_out):
-        _nb_ladder_block(prev, lev, n, len(budgets), budgets, s, q0, B, ends_out)
-
-    def dp_solve(prev, lev, budgets, costs, heights, s, inf, dist, parent_pos, parent_h):
-        _nb_dp_solve(
-            prev, lev, len(prev), len(budgets), budgets, costs, heights, s, inf,
-            dist, parent_pos, parent_h,
-        )
-
-    try:
-        # force one compilation now so an unusable numba (missing llvmlite,
-        # unsupported python) degrades to the cc flavor instead of raising
-        # from a hot loop later
-        probe = np.zeros(1, dtype=np.int64)
-        _nb_reuse_sweep(np.full(1, -1, dtype=np.int64), 0, 1, 0, np.zeros(2, dtype=np.int64), 1, probe)
-    except Exception:
-        return None
-    return NativeOps(
-        flavor="numba",
-        reuse_sweep=_nb_reuse_sweep,
-        box_run=box_run,
-        ladder_block=ladder_block,
-        dp_solve=dp_solve,
-        prepare=prepare,
-        box_probe=box_probe,
-    )
-
-
-# --------------------------------------------------------------------- #
 # flavor selection
 # --------------------------------------------------------------------- #
 _OPS_CACHE: dict = {}
 
 
 def native_ops() -> Optional[NativeOps]:
-    """The active compiled primitives, or ``None`` when unavailable.
+    """The compiled primitives, or ``None`` when they cannot be built.
 
-    Flavor is chosen by ``$REPRO_NATIVE``: ``auto`` (default; numba
-    first, then cc), ``numba``, ``cc``, or ``off``.  The probe result is
+    Flavor is chosen by ``$REPRO_NATIVE``: ``auto`` (default) or ``cc``
+    build the C library, ``off`` disables it.  The probe result is
     cached per flavor request, so hot paths pay one dict lookup.
     """
     mode = os.environ.get(NATIVE_ENV, "auto").strip().lower() or "auto"
     if mode == "off":
         return None
-    if mode not in ("auto", "numba", "cc"):
+    if mode not in ("auto", "cc"):
         raise ValueError(
-            f"unknown {NATIVE_ENV} flavor {mode!r}; expected 'auto', 'numba', 'cc', or 'off'"
+            f"unknown {NATIVE_ENV} flavor {mode!r}; expected 'auto', 'cc', or 'off'"
         )
-    if mode in _OPS_CACHE:
-        return _OPS_CACHE[mode]
-    ops: Optional[NativeOps] = None
-    if mode in ("auto", "numba"):
-        ops = _numba_ops()
-    if ops is None and mode in ("auto", "cc"):
-        ops = _cc_ops()
-    _OPS_CACHE[mode] = ops
-    return ops
+    if mode not in _OPS_CACHE:
+        _OPS_CACHE[mode] = _cc_ops()
+    return _OPS_CACHE[mode]
 
 
 def native_flavor() -> Optional[str]:
-    """``"numba"``/``"cc"`` when a native flavor is usable, else ``None``."""
+    """``"cc"`` when the compiled tier is usable, else ``None``."""
     ops = native_ops()
     return ops.flavor if ops is not None else None
 

@@ -24,13 +24,16 @@ O(n · levels) times per solve, so the amortization is dramatic.
 
 :func:`run_box_fast` is cross-checked bit-identical to the dict-LRU
 reference :func:`repro.paging.engine.run_box` by the property suite in
-``tests/paging/test_kernel.py``.  Set ``REPRO_KERNEL=reference`` to make
-every threaded call site fall back to the reference loop, or
-``REPRO_KERNEL=native`` to route the reuse-distance sweep, the box
-service walk, and the offline DP relaxation through the compiled
-primitives of :mod:`repro.paging._native` (numba when installed, else a
-cc-compiled ctypes library; degrades to the numpy fast path when
-neither is available).  All three tiers produce bit-identical rows.
+``tests/paging/test_kernel.py``.  Three tiers produce bit-identical
+rows, selected by ``$REPRO_KERNEL``:
+
+* ``native`` (the default when unset) routes the reuse-distance sweep,
+  the box service walk, and the offline DP relaxation through the
+  cc-compiled primitives of :mod:`repro.paging._native`;
+* ``fast`` is the numpy path below, which is also what ``native``
+  resolves to when no C compiler is available (or ``REPRO_NATIVE=off``);
+* ``reference`` makes every threaded call site fall back to the
+  dict-LRU loop, the cross-check oracle.
 
 Two kernel flavors:
 
@@ -153,32 +156,46 @@ def _reuse_vectorized(prev: np.ndarray, nxt: np.ndarray, n: int, start: int = 0)
     return reuse
 
 
+def _requested_tier() -> str:
+    """``$REPRO_KERNEL`` normalized to ``native``/``fast``/``reference``.
+
+    The one place the unset default lives: :func:`kernel_backend` and
+    :func:`_active_native` both read it, so the tier that is reported is
+    the tier kernels are built with.
+    """
+    value = os.environ.get(KERNEL_ENV, "").strip().lower() or "native"
+    if value in ("native", "compiled"):
+        return "native"
+    if value in ("fast", "kernel"):
+        return "fast"
+    if value in ("reference", "ref"):
+        return "reference"
+    raise ValueError(
+        f"unknown {KERNEL_ENV} backend {value!r}; expected 'fast', 'native', or 'reference'"
+    )
+
+
 def kernel_backend() -> str:
-    """The active box-engine backend: ``"fast"`` (default), ``"native"``,
+    """The active box-engine backend: ``"native"`` (default), ``"fast"``,
     or ``"reference"``.
 
     Controlled by ``$REPRO_KERNEL``.  All backends produce bit-identical
     :class:`~repro.paging.engine.BoxRun` values; the reference dict-LRU
     exists as a cross-check oracle and an escape hatch, and ``native``
     routes the inner loops through :mod:`repro.paging._native`.  When
-    ``native`` is requested but no compiled flavor is available (numba
-    not installed, no usable C compiler, or ``REPRO_NATIVE=off``), this
-    resolves to ``"fast"`` — graceful degradation, never an error.
+    ``native`` is requested (or ``$REPRO_KERNEL`` is unset) but the
+    compiled library is unavailable (no usable C compiler, or
+    ``REPRO_NATIVE=off``), this resolves to ``"fast"`` — the numpy
+    fallback, never an error.
     """
-    value = os.environ.get(KERNEL_ENV, "fast").strip().lower() or "fast"
-    if value in ("fast", "kernel"):
+    tier = _requested_tier()
+    if tier == "native" and native_ops() is None:
         return "fast"
-    if value in ("reference", "ref"):
-        return "reference"
-    if value in ("native", "compiled"):
-        return "native" if native_ops() is not None else "fast"
-    raise ValueError(
-        f"unknown {KERNEL_ENV} backend {value!r}; expected 'fast', 'native', or 'reference'"
-    )
+    return tier
 
 
 def _active_native():
-    """The compiled primitives when ``REPRO_KERNEL=native`` resolves, else None.
+    """The compiled primitives when the tier resolves to native, else None.
 
     Read at kernel construction: the compiled tier is bit-identical to
     the numpy path, so a cached kernel built under one setting stays
@@ -186,10 +203,7 @@ def _active_native():
     it only keeps its construction-time speed.  Flip-sensitive callers
     (the benchmarks) clear the kernel cache between timings.
     """
-    value = os.environ.get(KERNEL_ENV, "fast").strip().lower() or "fast"
-    if value in ("native", "compiled"):
-        return native_ops()
-    return None
+    return native_ops() if _requested_tier() == "native" else None
 
 
 class _KernelOps:
@@ -385,8 +399,8 @@ class SequenceKernel(_KernelOps):
         hit predicate, so it is exact by construction; after
         ``_SCALAR_MAX`` served requests with budget to spare it defers
         to the vectorized pass (the walk so far is then sunk cost, but
-        boxes that large are exactly where vectorization wins).  Under
-        ``REPRO_KERNEL=native`` the walk runs compiled instead, with no
+        boxes that large are exactly where vectorization wins).  On the
+        native tier the walk runs compiled instead, with no
         length cutoff — the compiled loop is O(served) at C speed.
         """
         ops = self._ops
@@ -452,8 +466,8 @@ class SequenceKernel(_KernelOps):
         The offline DP probes one lattice thousands of times per solve;
         everything that depends only on (sequence, ladder, miss_cost) —
         warmth thresholds, cost prefixes, budget columns — is hoisted
-        here so each probe is pure sliced-array work.  Under
-        ``REPRO_KERNEL=native`` the plan evaluates its blocks in the
+        here so each probe is pure sliced-array work.  On the native
+        tier the plan evaluates its blocks in the
         compiled walk instead (same ``ends`` contract, same rows); the
         memo key includes the backend so flipping ``$REPRO_KERNEL``
         between probes never serves a plan built for the other tier.
@@ -686,8 +700,8 @@ def native_dp_solve(
     Returns ``(dist, parent_pos, parent_h)`` — byte-identical to the
     python sweep in :func:`repro.green.offline.optimal_box_profile`
     (ascending positions, ascending ladder levels, strict-``<``
-    improvement) — when ``REPRO_KERNEL=native`` resolves to a compiled
-    flavor; ``None`` otherwise, and the caller falls back to its own
+    improvement) — when the kernel was built on the native tier;
+    ``None`` otherwise, and the caller falls back to its own
     sweep.  Hoisting the relaxation loop itself (not just the endpoint
     probes) is what buys the DP arm its headroom: at typical experiment
     sizes the python ``zip`` loop costs as much as the probes.
@@ -818,8 +832,8 @@ class StreamKernel(_KernelOps):
     def box(self, start: int, height: int, budget: int, miss_cost: int, offset: int = 0) -> BoxRun:
         """Global-coordinate box evaluation over the live window.
 
-        Mirrors :meth:`SequenceKernel.box`: compiled walk under
-        ``REPRO_KERNEL=native``, else a scalar list walk for short boxes
+        Mirrors :meth:`SequenceKernel.box`: compiled walk on the native
+        tier, else a scalar list walk for short boxes
         (streamed box algorithms serve a handful of requests per box,
         where ~10 numpy dispatches plus an O(window) cumsum dominated
         the event backend), deferring to the vectorized pass after

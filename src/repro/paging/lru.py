@@ -1,44 +1,36 @@
-"""O(1) LRU cache built on a hash map plus an intrusive doubly-linked list.
+"""O(1) LRU cache on :class:`collections.OrderedDict`.
 
 This is the single hottest data structure in the repository: every box a
 parallel-paging algorithm allocates is executed by running LRU over a slice
-of the processor's request sequence (see :mod:`repro.paging.engine`), so
-``touch`` must be strictly O(1) with no per-request allocation beyond the
-node created on first admission of a page.
+of the processor's request sequence (see :mod:`repro.paging.engine`), and
+GLOBAL-LRU calls ``touch`` once per simulated request, so ``touch`` must be
+strictly O(1) with no per-request allocation.
 
-We deliberately do *not* use :class:`collections.OrderedDict`:
-``move_to_end`` + ``popitem`` would also be O(1), but an explicit node list
-keeps eviction callbacks, residency snapshots, and the recency iteration
-order (needed by stack-distance cross-checks in tests) cheap and obvious.
+The recency order lives in an ``OrderedDict`` keyed by page, least recently
+used first: a hit is one C-level ``move_to_end``, an eviction one
+``popitem(last=False)``.  An intrusive Python linked list (the previous
+implementation) spent several attribute stores per hit to do the same;
+iterating the dict still gives the residency snapshots and the recency
+order that the stack-distance cross-checks in tests read.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from collections import OrderedDict
+from typing import Iterator, List, Optional
 
 from .policies import register_policy
 
 __all__ = ["LRUCache"]
 
 
-class _Node:
-    """Intrusive list node; ``__slots__`` keeps it at two words + key."""
-
-    __slots__ = ("page", "prev", "next")
-
-    def __init__(self, page: int) -> None:
-        self.page = page
-        self.prev: Optional[_Node] = None
-        self.next: Optional[_Node] = None
-
-
 @register_policy("lru")
 class LRUCache:
     """Least-recently-used cache of at most ``capacity`` pages.
 
-    The list is ordered most-recent first.  ``touch`` returns ``True`` for a
-    hit and ``False`` for a fault; faults admit the page, evicting the
-    least-recently-used resident when the cache is full.
+    ``touch`` returns ``True`` for a hit and ``False`` for a fault; faults
+    admit the page, evicting the least-recently-used resident when the
+    cache is full.
 
     Parameters
     ----------
@@ -48,69 +40,37 @@ class LRUCache:
         paging model never produces one because box heights are >= 1.)
     """
 
-    __slots__ = ("capacity", "_map", "_head", "_tail", "hits", "faults", "evictions")
+    __slots__ = ("capacity", "_map", "hits", "faults", "evictions")
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ValueError(f"LRU capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
-        self._map: Dict[int, _Node] = {}
-        self._head: Optional[_Node] = None  # most recently used
-        self._tail: Optional[_Node] = None  # least recently used
+        self._map: "OrderedDict[int, None]" = OrderedDict()  # LRU first
         self.hits = 0
         self.faults = 0
         self.evictions = 0
-
-    # ------------------------------------------------------------------ #
-    # list plumbing
-    # ------------------------------------------------------------------ #
-    def _unlink(self, node: _Node) -> None:
-        if node.prev is not None:
-            node.prev.next = node.next
-        else:
-            self._head = node.next
-        if node.next is not None:
-            node.next.prev = node.prev
-        else:
-            self._tail = node.prev
-        node.prev = node.next = None
-
-    def _push_front(self, node: _Node) -> None:
-        node.prev = None
-        node.next = self._head
-        if self._head is not None:
-            self._head.prev = node
-        self._head = node
-        if self._tail is None:
-            self._tail = node
 
     # ------------------------------------------------------------------ #
     # policy protocol
     # ------------------------------------------------------------------ #
     def touch(self, page: int) -> bool:
         """Serve one request; return True on hit, False on fault."""
-        node = self._map.get(page)
-        if node is not None:
+        resident = self._map
+        if page in resident:
+            resident.move_to_end(page)
             self.hits += 1
-            if node is not self._head:
-                self._unlink(node)
-                self._push_front(node)
             return True
         self.faults += 1
-        if len(self._map) >= self.capacity:
-            victim = self._tail
-            assert victim is not None  # capacity >= 1 and map nonempty
-            self._unlink(victim)
-            del self._map[victim.page]
+        if len(resident) >= self.capacity:
+            resident.popitem(last=False)
             self.evictions += 1
-        node = _Node(page)
-        self._map[page] = node
-        self._push_front(node)
+        resident[page] = None
         return False
 
     def peek_victim(self) -> Optional[int]:
         """Page that would be evicted next (LRU end), or None if empty."""
-        return None if self._tail is None else self._tail.page
+        return next(iter(self._map), None)
 
     def __contains__(self, page: int) -> bool:
         return page in self._map
@@ -121,7 +81,6 @@ class LRUCache:
     def clear(self) -> None:
         """Empty the cache (compartmentalized cold start); keeps counters."""
         self._map.clear()
-        self._head = self._tail = None
 
     def reset_counters(self) -> None:
         """Zero the hit/fault/eviction counters without touching contents."""
@@ -129,12 +88,7 @@ class LRUCache:
 
     def pages_mru_order(self) -> List[int]:
         """Resident pages, most-recently-used first (for tests/inspection)."""
-        out: List[int] = []
-        node = self._head
-        while node is not None:
-            out.append(node.page)
-            node = node.next
-        return out
+        return list(reversed(self._map))
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.pages_mru_order())

@@ -9,13 +9,19 @@ balance checker (Lemma 7), and the capacity ledger all operate on it
 without re-running the simulation.
 
 This module also owns :class:`EventScheduler`, the deterministic min-heap
-event queue that drives every simulator in :mod:`repro.parallel`: the
-GLOBAL-LRU ``busy_until`` heap, DET-PAR's segment/strip events, and the
-black-box packing loop all pop from the same structure, so tie-breaking
-is defined in exactly one place.  The retained per-timestep loops stay
-available as the reference oracle behind the ``$REPRO_SIM`` switch
-(:func:`sim_backend`), mirroring the ``run_box`` / ``run_box_fast``
-pattern of :mod:`repro.paging.kernel`.
+event queue that drives the box simulators in :mod:`repro.parallel`:
+DET-PAR's segment/strip events and the black-box packing loop pop from
+the same structure, so their tie-breaking is defined in one place.
+GLOBAL-LRU does not use it.  It schedules one event per simulated
+request — one pending completion per processor, never cancelled — so
+it keeps a bare heap of ``(time, processor)`` pairs, which pops the
+same ``(time, priority=processor)`` order without the per-event token,
+payload and cancellation bookkeeping, and skips the heap entirely while
+the processor it just served still holds the earliest completion (see
+:meth:`repro.parallel.timestep.GlobalLRU._run_event`).  The retained
+per-timestep loops stay available as the reference oracle behind the
+``$REPRO_SIM`` switch (:func:`sim_backend`), mirroring the ``run_box`` /
+``run_box_fast`` pattern of :mod:`repro.paging.kernel`.
 """
 
 from __future__ import annotations
@@ -127,9 +133,8 @@ class EventScheduler:
     * ``priority`` defaults to the push sequence number, giving FIFO order
       among same-time events — DET-PAR's historical ``(t, counter)`` order;
     * an explicit ``priority`` pins the tie-break to a domain key, e.g.
-      GLOBAL-LRU passes the processor index so same-time completions are
-      served in ascending processor order, byte-identical to the
-      historical full-rescan loop.
+      a processor index, so same-time events pop in ascending processor
+      order.
 
     :meth:`cancel` is O(1); cancelled events are skipped at pop time, the
     same lazy-invalidation pattern DET-PAR used with stale tokens.  The

@@ -43,6 +43,9 @@ from ..traces.store import TraceStore
 from ..workloads.trace import ParallelWorkload
 from .events import resolve_sim_backend
 
+#: Rows per list :func:`request_feed` cuts from an in-memory column.
+_FEED_ROWS = 4096
+
 __all__ = [
     "BoxFeed",
     "StreamingWorkload",
@@ -178,6 +181,8 @@ class BoxFeed:
         at one call per box.
         """
         upto = pos + budget
+        if upto > self.length:
+            upto = self.length  # a fully swept column never re-enters ensure
         if self._covered < upto:
             self.ensure(upto)
         kernel = self.kernel
@@ -268,24 +273,17 @@ def make_box_server(workload, miss_cost: int) -> BoxServer:
     return BoxServer(workload, miss_cost)
 
 
-def request_feed(workload, proc: int) -> Iterator[int]:
-    """Lazy per-request iterator for one processor (GLOBAL-LRU streaming).
+def request_feed(workload, proc: int) -> Iterator[List[int]]:
+    """One processor's requests as plain-int lists, one per chunk
+    (GLOBAL-LRU's feed).
 
-    For a :class:`StreamingWorkload` this holds one store chunk at a time;
-    for in-memory/memmap workloads it walks the column directly.
+    For a :class:`StreamingWorkload` each list is one store chunk, so a
+    single chunk per processor is resident; in-memory and memmap columns
+    are cut into ``_FEED_ROWS``-row slices the same way.  Consumers walk
+    each list with a plain ``for`` loop instead of stepping a generator
+    per request.
     """
     if isinstance(workload, StreamingWorkload):
-
-        def gen() -> Iterator[int]:
-            for chunk in workload.chunks(proc):
-                for page in chunk.tolist():
-                    yield page
-
-        return gen()
+        return (chunk.tolist() for chunk in workload.chunks(proc))
     seq = workload.sequences[proc]
-
-    def walk() -> Iterator[int]:
-        for i in range(len(seq)):
-            yield int(seq[i])
-
-    return walk()
+    return (seq[a : a + _FEED_ROWS].tolist() for a in range(0, len(seq), _FEED_ROWS))

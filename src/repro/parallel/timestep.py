@@ -12,11 +12,11 @@ designed to control.
 Two backends, selected by ``$REPRO_SIM`` (:func:`~repro.parallel.events.
 sim_backend`):
 
-* ``event`` (default) — advance over service-completion events via the
-  shared :class:`~repro.parallel.events.EventScheduler`.  Every processor
-  has exactly one scheduled event while active, with the processor index
-  as the tie-break priority, so same-time completions are served in
-  ascending processor order.
+* ``event`` (default) — advance over service-completion events on a bare
+  heap of ``(time, processor)`` pairs.  Every processor has exactly one
+  pending completion while active, so same-time completions are served
+  in ascending processor order, and a processor that still holds the
+  earliest completion keeps serving without touching the heap.
 * ``reference`` — the retained per-timestep full-rescan loop (O(p) per
   event instant), the historical oracle.  It serves same-time processors
   in ascending index too, so both backends touch the shared LRU in the
@@ -24,14 +24,17 @@ sim_backend`):
   byte-identical.  The differential harness asserts exactly this.
 
 Requests are consumed strictly in order through
-:func:`~repro.parallel.streaming.request_feed`, so a
-:class:`~repro.parallel.streaming.StreamingWorkload` is served directly
-from the trace store one chunk at a time — a million-request,
-thousand-processor run never holds more than one chunk per processor.
+:func:`~repro.parallel.streaming.request_feed`, one plain-int list per
+chunk, so a :class:`~repro.parallel.streaming.StreamingWorkload` is
+served directly from the trace store one chunk at a time — a
+million-request, thousand-processor run never holds more than one chunk
+per processor.
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heapreplace
+from itertools import chain
 from typing import Iterator, List
 
 import numpy as np
@@ -39,7 +42,7 @@ import numpy as np
 from ..obs import metrics as obs_metrics
 from ..paging.lru import LRUCache
 from ..workloads.trace import ParallelWorkload
-from .events import EventScheduler, ParallelRunResult, resolve_sim_backend
+from .events import ParallelRunResult, resolve_sim_backend
 from .streaming import request_feed
 
 __all__ = ["GlobalLRU"]
@@ -100,42 +103,57 @@ class GlobalLRU:
 
     def _run_event(
         self,
-        feeds: List[Iterator[int]],
+        feeds: List[Iterator[List[int]]],
         n: List[int],
         done: List[bool],
         completion: np.ndarray,
         cache: LRUCache,
     ) -> None:
-        """Event backend: one scheduled completion per active processor.
+        """Event backend: a bare heap of ``(time, proc)`` completions.
 
-        The processor index is the tie-break priority, so same-time
-        completions pop in ascending processor order — the same order the
-        reference rescan serves them, hence identical shared-LRU state.
+        GLOBAL-LRU has one pending completion per active processor and
+        never cancels one, so a heap of ``(time, proc)`` pairs pops
+        exactly the :class:`~repro.parallel.events.EventScheduler` order
+        with the processor as priority: same-time completions in
+        ascending processor order — the order the reference rescan serves
+        them, hence identical shared-LRU state.  Each pair is packed into
+        one int, ``time << shift | proc``, so the heap compares ints, not
+        tuples.  The popped processor keeps serving while its next
+        completion is still the earliest pair, so those requests (every
+        request once a single processor is left) never touch the heap.
         """
-        s = self.miss_cost
-        p = len(n)
-        pos = [0] * p
-        sched = EventScheduler()
-        for i in range(p):
-            if not done[i]:
-                sched.schedule(0, "serve", i, priority=i)
+        shift = len(n).bit_length()
+        hit, miss = 1 << shift, self.miss_cost << shift
         touch = cache.touch
-        schedule = sched.schedule
-        pop = sched.pop
-        while sched:
-            t, _, _, i = pop()
-            page = next(feeds[i])
-            cost = 1 if touch(page) else s
-            pos[i] += 1
-            if pos[i] >= n[i]:
-                done[i] = True
-                completion[i] = t + cost
+        pages = [chain.from_iterable(feed) for feed in feeds]
+        left = list(n)
+        heap = [i for i in range(len(n)) if not done[i]]  # time 0, sorted: a heap
+        if not heap:
+            return
+        key = heappop(heap)
+        while True:
+            i = key & (hit - 1)
+            m = left[i]
+            top = heap[0] if heap else key + miss * m + 1
+            for page in pages[i]:
+                key += hit if touch(page) else miss
+                m -= 1
+                if not m or key > top:
+                    break
             else:
-                schedule(t + cost, "serve", i, priority=i)
+                raise ValueError(f"processor {i}'s requests end before its declared length")
+            if m:
+                left[i] = m
+                key = heapreplace(heap, key)
+                continue
+            completion[i] = key >> shift
+            if not heap:
+                return
+            key = heappop(heap)
 
     def _run_reference(
         self,
-        feeds: List[Iterator[int]],
+        feeds: List[Iterator[List[int]]],
         n: List[int],
         done: List[bool],
         completion: np.ndarray,
@@ -145,6 +163,7 @@ class GlobalLRU:
         retained verbatim as the oracle for the event backend."""
         s = self.miss_cost
         p = len(n)
+        pages = [chain.from_iterable(feed) for feed in feeds]
         pos = [0] * p
         busy_until = [0] * p
         remaining = sum(1 for d in done if not d)
@@ -154,7 +173,7 @@ class GlobalLRU:
             for i in range(p):
                 if done[i] or busy_until[i] > t:
                     continue
-                page = next(feeds[i])
+                page = next(pages[i])
                 cost = 1 if touch(page) else s
                 busy_until[i] = t + cost
                 pos[i] += 1

@@ -9,7 +9,9 @@ not approximately.  These tests pin that equivalence property-style
 operational surface around it: the internal scalar/vectorized paths and
 the chunked reuse build, the ladder plan the offline DP probes, the
 streaming kernel, the kernel cache, and the ``REPRO_KERNEL`` escape
-hatch.
+hatch.  Every test here pins the numpy tier (``REPRO_KERNEL=fast``),
+the no-compiler fallback; ``test_native.py`` holds the compiled default
+to it.
 """
 
 from __future__ import annotations
@@ -32,8 +34,20 @@ from repro.paging.kernel import (
     get_kernel,
     kernel_backend,
     maybe_kernel,
+    native_flavor,
     run_box_fast,
 )
+
+
+@pytest.fixture(autouse=True)
+def _numpy_tier(monkeypatch):
+    # kernels capture their tier at construction, so the cache is
+    # cleared on both sides of the pin
+    monkeypatch.setenv(KERNEL_ENV, "fast")
+    clear_kernel_cache()
+    yield
+    clear_kernel_cache()
+
 
 # --------------------------------------------------------------------- #
 # property: run_box_fast ≡ run_box
@@ -226,9 +240,14 @@ def test_kernel_cache_is_lru_bounded():
 
 def test_backend_env_switching(monkeypatch):
     arr = np.asarray([0, 1], dtype=np.int64)
+    compiled = "native" if native_flavor() is not None else "fast"
     monkeypatch.delenv(KERNEL_ENV, raising=False)
-    assert kernel_backend() == "fast"
+    # unset: the compiled tier whenever it builds, else the numpy fallback
+    assert kernel_backend() == compiled
     assert maybe_kernel(arr) is not None
+    for alias in ("native", "compiled", " Native "):
+        monkeypatch.setenv(KERNEL_ENV, alias)
+        assert kernel_backend() == compiled
     for alias in ("fast", "kernel"):
         monkeypatch.setenv(KERNEL_ENV, alias)
         assert kernel_backend() == "fast"

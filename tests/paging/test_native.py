@@ -1,20 +1,21 @@
-"""``REPRO_KERNEL=native`` must be bit-identical to fast and reference.
+"""The native kernel tier must be bit-identical to fast and reference.
 
-The native tier (numba when importable, else a cc-compiled shared
-library, else a graceful fallback to the numpy fast path) re-implements
-the three inner loops of the paging kernel: the reuse-distance sweep,
-the per-box service walk, and the offline green DP.  Its only contract
-is *exactness*: every observable — box endpoints, hit/fault splits,
-ladder plans, DP distances and parents — must equal the numpy fast path
-and the dict-LRU reference bit for bit.  These tests pin that
-three-way equivalence property-style (random boxes, ladders via the
-offline DP on non-power-of-two lattices, streamed chunk appends with
-compaction) plus the operational surface: backend selection, the
-``$REPRO_NATIVE`` flavor pin, and the no-compiler fallback.
+The native tier (the default: a cc-compiled shared library, else a
+fallback to the numpy fast path) re-implements the three inner loops of
+the paging kernel: the reuse-distance sweep, the per-box service walk,
+and the offline green DP.  Its only contract is *exactness*: every
+observable — box endpoints, hit/fault splits, ladder plans, DP distances
+and parents — must equal the numpy fast path and the dict-LRU reference
+bit for bit.  These tests pin that three-way equivalence property-style
+(random boxes, ladders via the offline DP on non-power-of-two lattices,
+streamed chunk appends with compaction) plus the operational surface:
+backend selection, the ``$REPRO_NATIVE`` flavor pin, the no-compiler
+fallback, and the checks on the shared build cache.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 from contextlib import contextmanager
 
@@ -25,7 +26,8 @@ from hypothesis import strategies as st
 
 from repro.core.box import HeightLattice
 from repro.green.offline import optimal_box_profile
-from repro.paging._native import NATIVE_ENV, clear_native_cache, native_ops
+import repro.paging._native as native_mod
+from repro.paging._native import NATIVE_CACHE_ENV, NATIVE_ENV, clear_native_cache, native_ops
 from repro.paging.engine import run_box
 from repro.paging.kernel import (
     KERNEL_ENV,
@@ -33,6 +35,7 @@ from repro.paging.kernel import (
     StreamKernel,
     clear_kernel_cache,
     kernel_backend,
+    maybe_kernel,
     native_flavor,
     run_box_fast,
 )
@@ -40,7 +43,7 @@ from repro.paging.kernel import (
 HAVE_NATIVE = native_flavor() is not None
 
 requires_native = pytest.mark.skipif(
-    not HAVE_NATIVE, reason="no native flavor available (neither numba nor cc)"
+    not HAVE_NATIVE, reason="compiled tier unavailable (no C compiler, or REPRO_NATIVE=off)"
 )
 
 
@@ -109,11 +112,50 @@ class TestBackendSelection:
                 os.environ[NATIVE_ENV] = saved
             clear_native_cache()
 
+    def test_numba_flavor_is_gone(self, monkeypatch):
+        monkeypatch.setenv(NATIVE_ENV, "numba")
+        clear_native_cache()
+        try:
+            with pytest.raises(ValueError, match="expected 'auto', 'cc', or 'off'"):
+                native_ops()
+        finally:
+            clear_native_cache()
+
     @requires_native
     def test_flavor_pin_is_honored(self):
-        flavor = native_flavor()
-        with backend("native", native=flavor):
-            assert native_flavor() == flavor
+        with backend("native", native="cc"):
+            assert native_flavor() == "cc"
+
+    @pytest.mark.parametrize(
+        "kernel, flavor",
+        [(None, None), ("fast", None), ("native", None), ("reference", None), (None, "off")],
+    )
+    def test_reported_tier_is_the_built_tier(self, monkeypatch, kernel, flavor):
+        """``kernel_backend()`` and kernel construction read one default."""
+        for name, value in ((KERNEL_ENV, kernel), (NATIVE_ENV, flavor)):
+            if value is None:
+                monkeypatch.delenv(name, raising=False)
+            else:
+                monkeypatch.setenv(name, value)
+        clear_native_cache()
+        clear_kernel_cache()
+        try:
+            arr = np.arange(8, dtype=np.int64) % 3
+            built = {SequenceKernel(arr)._ops is not None, StreamKernel()._ops is not None}
+            reported = kernel_backend()
+            if reported == "reference":
+                assert maybe_kernel(arr) is None
+                assert built == {False}
+            else:
+                assert built == {reported == "native"}
+            if kernel is None and flavor is None:
+                # unset: compiled whenever the library builds here
+                assert reported == ("native" if native_ops() is not None else "fast")
+            if flavor == "off":
+                assert reported == "fast"
+        finally:
+            clear_native_cache()
+            clear_kernel_cache()
 
     @requires_native
     def test_native_kernel_carries_compiled_ops(self):
@@ -131,6 +173,109 @@ class TestBackendSelection:
             kern = SequenceKernel(arr)
             got = run_box_fast(kern, 0, 3, 40, 5)
         assert got == run_box(arr, 0, 3, 40, 5)
+
+
+# --------------------------------------------------------------------- #
+# the shared build cache loads only what this user built
+# --------------------------------------------------------------------- #
+
+
+def _library_name() -> str:
+    digest = hashlib.sha256(native_mod._C_SOURCE.encode()).hexdigest()[:16]
+    return f"repro_kernel_{digest}.so"
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX ownership and modes")
+class TestBuildCache:
+    @pytest.fixture()
+    def probe(self, monkeypatch):
+        """Point the cache at a directory, probe cc, record every load."""
+        loaded = []
+        real = native_mod.ctypes.CDLL
+
+        def spy(path, *args, **kwargs):
+            loaded.append(str(path))
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(native_mod.ctypes, "CDLL", spy)
+        monkeypatch.setenv(NATIVE_ENV, "cc")
+
+        def run(cache_dir):
+            monkeypatch.setenv(NATIVE_CACHE_ENV, str(cache_dir))
+            clear_native_cache()
+            try:
+                return native_ops(), loaded
+            finally:
+                clear_native_cache()
+
+        return run
+
+    @staticmethod
+    def _usable(ops):
+        arr = np.asarray([0, 1, 0, 2, 1, 0], dtype=np.int64)
+        reuse = np.empty(len(arr), dtype=np.int64)
+        prev = np.asarray([-1, -1, 0, -1, 1, 2], dtype=np.int64)
+        ops.reuse_sweep(prev, 0, len(arr), 99, np.zeros(len(arr) + 1, dtype=np.int64), len(arr), reuse)
+        return reuse.tolist() == [99, 99, 1, 99, 2, 2]
+
+    @requires_native
+    def test_fresh_cache_dir_is_private(self, probe, tmp_path):
+        cache = tmp_path / "new" / "cache"
+        ops, loaded = probe(cache)
+        assert ops is not None and self._usable(ops)
+        assert cache.stat().st_mode & 0o777 == 0o700
+        lib = cache / _library_name()
+        assert loaded == [str(lib)]
+        assert not lib.stat().st_mode & 0o022
+
+    @requires_native
+    def test_world_writable_dir_with_planted_library_is_never_loaded(self, probe, tmp_path):
+        cache = tmp_path / "shared"
+        cache.mkdir()
+        cache.chmod(0o777)
+        planted = cache / _library_name()
+        planted.write_bytes(b"not a library")
+        with pytest.warns(RuntimeWarning, match="not private"):
+            ops, loaded = probe(cache)
+        assert ops is not None and self._usable(ops)
+        assert str(planted) not in loaded
+        assert all(not path.startswith(str(cache)) for path in loaded)
+        assert planted.read_bytes() == b"not a library"
+
+    @requires_native
+    def test_symlinked_dir_is_rejected(self, probe, tmp_path):
+        real = tmp_path / "real"
+        real.mkdir(mode=0o700)
+        link = tmp_path / "link"
+        link.symlink_to(real)
+        with pytest.warns(RuntimeWarning, match="not private"):
+            ops, loaded = probe(link)
+        assert ops is not None
+        assert not any(path.startswith((str(link), str(real))) for path in loaded)
+
+    def test_no_writable_temp_dir_falls_back_to_numpy(self, probe, tmp_path, monkeypatch):
+        cache = tmp_path / "shared"
+        cache.mkdir()
+        cache.chmod(0o777)
+
+        def unwritable(*args, **kwargs):
+            raise PermissionError("read-only temp dir")
+
+        monkeypatch.setattr(native_mod.tempfile, "mkdtemp", unwritable)
+        with pytest.warns(RuntimeWarning, match="not private"):
+            ops, loaded = probe(cache)
+        assert ops is None and loaded == []
+
+    @requires_native
+    def test_group_writable_library_is_rejected(self, probe, tmp_path):
+        cache = tmp_path / "cache"
+        ops, _ = probe(cache)  # a clean build first
+        lib = cache / _library_name()
+        lib.chmod(0o775)
+        with pytest.warns(RuntimeWarning, match="not private"):
+            ops, loaded = probe(cache)
+        assert ops is not None
+        assert loaded[-1] != str(lib)
 
 
 # --------------------------------------------------------------------- #

@@ -7,6 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
+import repro.parallel.streaming as streaming_mod
 from repro.exec.cache import workload_fingerprint
 from repro.obs import metrics as obs_metrics
 from repro.paging.engine import run_box
@@ -19,7 +20,7 @@ from repro.parallel.streaming import (
     request_feed,
 )
 from repro.traces.store import write_store
-from repro.workloads import make_parallel_workload
+from repro.workloads import ParallelWorkload, make_parallel_workload
 
 
 def rng(seed=0):
@@ -108,6 +109,28 @@ class TestBoxFeed:
             pos = r.end if r.end > pos else pos + 1
         assert peak <= 2 * (budget + chunk_rows)
 
+    def test_fully_swept_short_column_skips_ensure(self, monkeypatch):
+        # one chunk holds the whole column; once it is swept, boxes whose
+        # budget runs past the end must not re-enter ensure()
+        seq = np.arange(50, dtype=np.int64) % 7
+        feed = BoxFeed(iter([seq]), len(seq))
+        first = feed.serve(0, 4, 60, 4)
+        assert feed.kernel.end == len(seq)
+        calls = []
+        real = BoxFeed.ensure
+
+        def counting(self, upto):
+            calls.append(upto)
+            real(self, upto)
+
+        monkeypatch.setattr(BoxFeed, "ensure", counting)
+        pos = first.end
+        while pos < len(seq):
+            got = feed.serve(pos, 4, 60, 4)
+            assert got == run_box(seq, pos, 4, 60, 4)
+            pos = got.end
+        assert calls == []
+
     def test_truncated_stream_raises(self):
         chunks = iter([np.arange(10, dtype=np.int64)])
         feed = BoxFeed(chunks, length=50)
@@ -149,11 +172,33 @@ class TestBoxServer:
 
 
 class TestRequestFeed:
+    @staticmethod
+    def _int_lists(lists):
+        assert all(type(x) is list for x in lists)
+        assert all(type(page) is int for x in lists for page in x)
+        return [page for x in lists for page in x]
+
     def test_memory_feed_walks_column(self, stored):
         wl, _ = stored
-        assert list(request_feed(wl, 0)) == wl.sequences[0].tolist()
+        lists = list(request_feed(wl, 0))
+        assert len(lists) == 1  # 500 rows fit one feed slice
+        assert self._int_lists(lists) == wl.sequences[0].tolist()
+
+    def test_memory_feed_cuts_long_columns(self, stored, monkeypatch):
+        wl, _ = stored
+        monkeypatch.setattr(streaming_mod, "_FEED_ROWS", 64)
+        lists = list(request_feed(wl, 1))
+        assert [len(x) for x in lists] == [64] * 7 + [500 - 7 * 64]
+        assert self._int_lists(lists) == wl.sequences[1].tolist()
 
     def test_streamed_feed_walks_column(self, stored):
         wl, store = stored
         sw = open_streaming(store)
-        assert list(request_feed(sw, 2)) == wl.sequences[2].tolist()
+        lists = list(request_feed(sw, 2))
+        assert [len(x) for x in lists] == [len(c) for c in sw.chunks(2)]
+        assert len(lists) > 1
+        assert self._int_lists(lists) == wl.sequences[2].tolist()
+
+    def test_empty_column_yields_nothing(self):
+        wl = ParallelWorkload(sequences=[np.zeros(0, dtype=np.int64)], name="empty")
+        assert list(request_feed(wl, 0)) == []

@@ -160,3 +160,92 @@ def test_heap_loop_is_byte_identical_to_full_rescan():
         completion, meta = _run_full_rescan(workload, cache_size, miss_cost)
         assert list(result.completion_times) == list(completion), trial
         assert result.meta == meta, trial
+
+
+# --------------------------------------------------------------------- #
+# the event loop's service order, pinned on hand-built cases
+# --------------------------------------------------------------------- #
+
+
+def _event_equals_reference(monkeypatch, workload, cache_size, miss_cost):
+    """Run both backends; assert completion times, hits, faults and
+    evictions agree, and return the event run's (completion, meta,
+    evictions)."""
+    from repro.obs import metrics as obs_metrics
+
+    out = {}
+    for backend in ("event", "reference"):
+        monkeypatch.setenv("REPRO_SIM", backend)
+        with obs_metrics.collecting() as reg:
+            result = GlobalLRU(cache_size=cache_size, miss_cost=miss_cost).run(workload)
+        evictions = reg.snapshot()["counters"].get("sim.timestep.evictions", 0)
+        out[backend] = (result.completion_times.tolist(), result.meta, evictions)
+    assert out["event"] == out["reference"]
+    return out["event"]
+
+
+def test_same_instant_completions_serve_in_processor_order(monkeypatch):
+    # both processors fault at t=0 and again at t=s.  At t=s processor 0
+    # must go first: its page 2 evicts page 1, so processor 1's request
+    # for page 1 faults too.  The other order would make it a hit.
+    completion, meta, evictions = _event_equals_reference(
+        monkeypatch, wl([1, 2], [3, 1], allow_shared=True), cache_size=2, miss_cost=5
+    )
+    assert completion == [10, 10]
+    assert meta == {"hits": 0, "faults": 4}
+    assert evictions == 2
+
+
+def test_tied_higher_index_processor_yields(monkeypatch):
+    # processor 1 hits page 1 four times, reaching t=4 exactly when
+    # processor 0's fault completes.  Tied, the higher index yields:
+    # processor 0 faults page 8 in first and processor 1 then hits it.
+    completion, meta, evictions = _event_equals_reference(
+        monkeypatch, wl([1, 8], [1, 1, 1, 1, 8], allow_shared=True), cache_size=4, miss_cost=4
+    )
+    assert completion == [8, 5]
+    assert meta == {"hits": 5, "faults": 2}
+    assert evictions == 0
+
+
+def test_lone_last_processor_runs_to_completion(monkeypatch):
+    # two short neighbours finish early; the cyclic tail then runs alone
+    # (the loop's no-heap path) over pages they evicted or left behind
+    tail = [40 + i % 5 for i in range(60)] + [1, 3]
+    completion, meta, evictions = _event_equals_reference(
+        monkeypatch, wl([1, 2], [3], tail, allow_shared=True), cache_size=4, miss_cost=3
+    )
+    expected, expected_meta = _run_full_rescan(
+        wl([1, 2], [3], tail, allow_shared=True), cache_size=4, miss_cost=3
+    )
+    assert completion == expected.tolist()
+    assert meta == expected_meta
+    assert completion[2] > max(completion[:2])
+    assert evictions == meta["faults"] - 4
+
+
+def test_zero_length_columns(monkeypatch):
+    completion, meta, evictions = _event_equals_reference(
+        monkeypatch, wl([], [5, 6, 5], [], []), cache_size=2, miss_cost=2
+    )
+    assert completion == [0, 5, 0, 0]
+    assert meta == {"hits": 1, "faults": 2}
+    assert evictions == 0
+    completion, meta, evictions = _event_equals_reference(
+        monkeypatch, wl([], []), cache_size=2, miss_cost=2
+    )
+    assert completion == [0, 0]
+    assert meta == {"hits": 0, "faults": 0}
+
+
+def test_feed_shorter_than_declared_length_raises(monkeypatch):
+    # the event loop must fail loudly, not requeue a processor with no
+    # requests left
+    class Short:
+        p = 1
+        lengths = (5,)
+        sequences = [np.arange(3, dtype=np.int64)]
+
+    monkeypatch.setenv("REPRO_SIM", "event")
+    with pytest.raises(ValueError, match="declared length"):
+        GlobalLRU(cache_size=4, miss_cost=2).run(Short())
