@@ -16,7 +16,8 @@ makespan story is interesting at scale.
 Two cells are recorded:
 
 * ``global-lru`` (the gate): the shared-cache timestep simulator, event
-  heap vs ``REPRO_SIM=reference`` full rescan.  Ratio asserted >= 5.
+  loop (compiled on the native tier) vs ``REPRO_SIM=reference`` full
+  rescan.  Ratio asserted >= 5.
 * ``det-par`` (gated >= 1): the box algorithm on the same stream under
   the shipping config — ``REPRO_KERNEL=native`` + ``REPRO_SIM=auto`` —
   vs the forced per-instant reference.  ``auto`` resolves per cell: the

@@ -1,22 +1,28 @@
-"""Compiled box-kernel primitives: the production kernel tier.
+"""Compiled kernel primitives: the production kernel tier.
 
 The numpy fast path (:mod:`repro.paging.kernel`) already amortizes the
-reuse-distance precompute, but three inner loops remain bound by python
+reuse-distance precompute, but four inner loops remain bound by python
 or by O(window) vectorized work per probe:
 
 * the reuse-distance Fenwick sweep (python loop beyond the vectorized
   build cutoff, O(n²/chunk) numpy below it),
 * the per-box service walk (a cumsum over the whole budget window even
-  when the box serves a dozen requests), and
+  when the box serves a dozen requests),
 * the offline green DP relaxation (a python ``zip`` loop over every
-  reachable position × ladder level).
+  reachable position × ladder level), and
+* GLOBAL-LRU's shared-cache event loop (one python LRU touch and heap
+  step per request, :class:`repro.parallel.timestep.GlobalLRU`).  Its
+  state lives in int64 arrays the caller owns, so a call returns when a
+  processor's chunk runs out and resumes once the caller installs the
+  next one; a streamed run never holds more than one chunk per processor.
 
 This module compiles those loops from one small C translation unit with
 the system C compiler into a content-addressed shared library and loads
 it through :mod:`ctypes` (no third-party dependency at all).  Every
 value it produces — reuse distances, box endpoints, DP distances and
-parent pointers — is bit-identical to the numpy fast path and to the
-dict-LRU reference.  With ``$REPRO_KERNEL`` unset the kernel runs on
+parent pointers, GLOBAL-LRU completion times and counts — is
+bit-identical to the numpy fast path (or python event loop) and to the
+reference.  With ``$REPRO_KERNEL`` unset the kernel runs on
 this tier whenever the library builds; when it cannot be built (no
 compiler) :func:`native_ops` returns ``None`` and the kernel falls back
 to the numpy fast path (see :func:`repro.paging.kernel.kernel_backend`).
@@ -37,6 +43,7 @@ suspect directory is loaded.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import shutil
@@ -172,6 +179,116 @@ void repro_dp_solve(const int64_t *prev, const int64_t *lev, int64_t n,
         }
     }
 }
+
+/* GLOBAL-LRU's event loop (repro.parallel.timestep.GlobalLRU._run_event)
+ * over caller-owned state, so it can return when a processor's chunk runs
+ * out and resume once the caller installs the next one:
+ *   st    key, heap size, resident pages, MRU node, LRU node, hits,
+ *         faults, evictions, capacity, log2(table slots)
+ *   heap  min-heap of the waiting processors' `time << shift | proc` keys
+ *   proc  4 per processor: requests left, chunk address, rows, next row
+ *   table 2 per slot: page, node + 1 (0 = empty); at most half full,
+ *         linear probing with backward-shift deletion
+ *   node  3 per resident page: page, newer node, older node (-1 = none)
+ * Returns the processor whose chunk ran out, or -1 once all are done. */
+#define LRU_HOME(page) ((int64_t)(((uint64_t)(page) * 0x9E3779B97F4A7C15ULL) >> (64 - bits)))
+
+static int64_t lru_find(const int64_t *table, int64_t bits, int64_t page) {
+    int64_t j = LRU_HOME(page), mask = ((int64_t)1 << bits) - 1;
+    while (table[2 * j + 1] && table[2 * j] != page)
+        j = (j + 1) & mask;
+    return j;
+}
+
+static void lru_unlink(int64_t *node, int64_t x, int64_t *mru, int64_t *lru) {
+    int64_t newer = node[3 * x + 1], older = node[3 * x + 2];
+    if (newer >= 0) node[3 * newer + 2] = older; else *mru = older;
+    if (older >= 0) node[3 * older + 1] = newer; else *lru = newer;
+}
+
+int64_t repro_lru_run(int64_t shift, int64_t miss, int64_t *st, int64_t *heap,
+                      int64_t *proc, int64_t *table, int64_t *node,
+                      int64_t *completion) {
+    int64_t key = st[0], hn = st[1], size = st[2], mru = st[3], lru = st[4];
+    int64_t bits = st[9], mask = ((int64_t)1 << bits) - 1, hit = (int64_t)1 << shift;
+    int64_t status = -1, top, page, i, j, k, h, x, m, *pr;
+    const int64_t *col;
+    for (;;) {
+        i = key & (hit - 1);
+        pr = proc + 4 * i;
+        col = (const int64_t *)(intptr_t)pr[1];
+        top = hn ? heap[0] : INT64_MAX;
+        for (m = pr[0]; m; ) {
+            if (pr[3] == pr[2]) {
+                pr[0] = m;
+                status = i;
+                goto out;
+            }
+            page = col[pr[3]++];
+            j = lru_find(table, bits, page);
+            x = table[2 * j + 1] - 1;
+            if (x >= 0) {  /* hit: the page's node moves to the front */
+                st[5]++;
+                key += hit;
+                lru_unlink(node, x, &mru, &lru);
+            } else {  /* fault: a fresh node, or the evicted LRU page's */
+                st[6]++;
+                key += miss << shift;
+                if (size < st[8]) {
+                    x = size++;
+                } else {
+                    x = lru;
+                    lru_unlink(node, x, &mru, &lru);
+                    for (j = lru_find(table, bits, node[3 * x]), k = j;;) {
+                        k = (k + 1) & mask;
+                        if (!table[2 * k + 1])
+                            break;
+                        h = LRU_HOME(table[2 * k]);  /* may k's entry fill the hole at j? */
+                        if (k > j ? (h <= j || h > k) : (h <= j && h > k)) {
+                            table[2 * j] = table[2 * k];
+                            table[2 * j + 1] = table[2 * k + 1];
+                            j = k;
+                        }
+                    }
+                    table[2 * j + 1] = 0;
+                    st[7]++;
+                    j = lru_find(table, bits, page);
+                }
+                table[2 * j] = page;
+                table[2 * j + 1] = x + 1;
+                node[3 * x] = page;
+            }
+            node[3 * x + 1] = -1;
+            node[3 * x + 2] = mru;
+            if (mru >= 0) node[3 * mru + 1] = x; else lru = x;
+            mru = x;
+            if (!--m || key > top)
+                break;
+        }
+        pr[0] = m;
+        if (m) {
+            x = key;
+        } else {
+            completion[i] = key >> shift;
+            if (!hn)
+                goto out;
+            x = heap[--hn];
+        }
+        /* pop the top into key: the hole sinks to a leaf along the smaller
+         * children (branch-free), then x rises from there */
+        key = heap[0];
+        for (j = 0; (k = 2 * j + 1) < hn; j = k) {
+            k += (k + 1 < hn) & (heap[k + 1] < heap[k]);
+            heap[j] = heap[k];
+        }
+        for (; j > 0 && heap[(j - 1) >> 1] > x; j = (j - 1) >> 1)
+            heap[j] = heap[(j - 1) >> 1];
+        heap[j] = x;
+    }
+out:
+    st[0] = key; st[1] = hn; st[2] = size; st[3] = mru; st[4] = lru;
+    return status;
+}
 """
 
 
@@ -186,16 +303,22 @@ class NativeOps:
 
     flavor: str
     reuse_sweep: Callable[..., None]
-    box_run: Callable[..., List[int]]
     ladder_block: Callable[..., None]
     dp_solve: Callable[..., None]
-    #: ``prepare(prev, reuse)`` -> opaque handle; ``box_probe(handle, ...)``
-    #: is ``box_run`` minus the per-call pointer/array marshalling, for
-    #: call sites that probe the same arrays tens of thousands of times
-    #: (the streamed box server).  The handle keeps the arrays alive and
-    #: must be dropped whenever they are replaced.
+    #: ``prepare(prev, reuse)`` -> opaque handle; ``box_probe(handle, n,
+    #: start, height, budget, s)`` -> ``[served, hits, time_used]`` of one
+    #: box, without per-call pointer/array marshalling, for call sites that
+    #: probe the same arrays tens of thousands of times (the streamed box
+    #: server).  The handle keeps the arrays alive and must be dropped
+    #: whenever they are replaced.
     prepare: Callable[..., object]
     box_probe: Callable[..., List[int]]
+    #: ``lru_loop(shift, miss, st, heap, proc, table, node, completion)``
+    #: -> ``step``: GLOBAL-LRU's event loop bound to those state arrays
+    #: (layout on ``repro_lru_run``).  Each ``step()`` runs it until a
+    #: processor's chunk runs out, returning that processor, or until all
+    #: are done, returning -1.  ``step`` holds the arrays alive.
+    lru_loop: Callable[..., Callable[[], int]]
 
 
 # --------------------------------------------------------------------- #
@@ -292,10 +415,12 @@ def _cc_ops() -> Optional[NativeOps]:
         ("repro_box_run", [p_i64, p_i64, c_i64, c_i64, c_i64, c_i64, c_i64, p_i64]),
         ("repro_ladder_block", [p_i64, p_i64, c_i64, c_i64, p_i64, c_i64, c_i64, c_i64, p_i64]),
         ("repro_dp_solve", [p_i64, p_i64, c_i64, c_i64, p_i64, p_i64, p_i64, c_i64, c_i64, p_i64, p_i64, p_i64]),
+        ("repro_lru_run", [c_i64, c_i64] + [p_i64] * 6),
     ):
         fn = getattr(lib, name)
         fn.argtypes = argtypes
         fn.restype = None
+    lib.repro_lru_run.restype = c_i64
 
     def ptr(arr: np.ndarray) -> int:
         return arr.ctypes.data
@@ -303,23 +428,10 @@ def _cc_ops() -> Optional[NativeOps]:
     # per-thread (out array, out pointer) scratch for box probes: the C
     # call releases the GIL, so a shared buffer could race across threads
     tls = threading.local()
-
-    def _out():
-        pair = getattr(tls, "pair", None)
-        if pair is None:
-            arr = np.empty(3, dtype=np.int64)
-            pair = tls.pair = (arr, ptr(arr))
-        return pair
-
     box_fn = lib.repro_box_run
 
     def reuse_sweep(prev, lo, hi, cold, tree, cap, reuse):
         lib.repro_reuse_sweep(ptr(prev), lo, hi, cold, ptr(tree), cap, ptr(reuse))
-
-    def box_run(prev, reuse, n, start, height, budget, s):
-        out, optr = _out()
-        box_fn(ptr(prev), ptr(reuse), n, start, height, budget, s, optr)
-        return out.tolist()
 
     def prepare(prev, reuse):
         # the handle holds the arrays alongside their raw pointers so the
@@ -327,8 +439,8 @@ def _cc_ops() -> Optional[NativeOps]:
         return (ptr(prev), ptr(reuse), prev, reuse)
 
     def box_probe(handle, n, start, height, budget, s):
-        # flattened _out(): this runs once per event-driven box, where a
-        # spare function frame is measurable
+        # the scratch is fetched inline: this runs once per event-driven
+        # box, where a spare function frame is measurable
         try:
             out, optr = tls.pair
         except AttributeError:
@@ -348,14 +460,19 @@ def _cc_ops() -> Optional[NativeOps]:
             ptr(heights), s, inf, ptr(dist), ptr(parent_pos), ptr(parent_h),
         )
 
+    def lru_loop(shift, miss, *state):
+        step = functools.partial(lib.repro_lru_run, shift, miss, *map(ptr, state))
+        step.state = state  # the pointers above stay valid while step lives
+        return step
+
     return NativeOps(
         flavor="cc",
         reuse_sweep=reuse_sweep,
-        box_run=box_run,
         ladder_block=ladder_block,
         dp_solve=dp_solve,
         prepare=prepare,
         box_probe=box_probe,
+        lru_loop=lru_loop,
     )
 
 

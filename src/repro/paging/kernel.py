@@ -28,8 +28,9 @@ reference :func:`repro.paging.engine.run_box` by the property suite in
 rows, selected by ``$REPRO_KERNEL``:
 
 * ``native`` (the default when unset) routes the reuse-distance sweep,
-  the box service walk, and the offline DP relaxation through the
-  cc-compiled primitives of :mod:`repro.paging._native`;
+  the box service walk, the offline DP relaxation and GLOBAL-LRU's
+  event loop through the cc-compiled primitives of
+  :mod:`repro.paging._native`;
 * ``fast`` is the numpy path below, which is also what ``native``
   resolves to when no C compiler is available (or ``REPRO_NATIVE=off``);
 * ``reference`` makes every threaded call site fall back to the

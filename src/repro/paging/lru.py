@@ -1,10 +1,11 @@
 """O(1) LRU cache on :class:`collections.OrderedDict`.
 
-This is the single hottest data structure in the repository: every box a
-parallel-paging algorithm allocates is executed by running LRU over a slice
-of the processor's request sequence (see :mod:`repro.paging.engine`), and
-GLOBAL-LRU calls ``touch`` once per simulated request, so ``touch`` must be
-strictly O(1) with no per-request allocation.
+The static-partition baselines and GLOBAL-LRU's python loops call
+``touch`` once per simulated request, so ``touch`` must be strictly O(1)
+with no per-request allocation.  It is not GLOBAL-LRU's hot path on the
+default, native kernel tier: there a compiled copy of this cache in
+:mod:`repro.paging._native` serves the requests, counting hits, faults
+and evictions exactly as ``touch`` does.
 
 The recency order lives in an ``OrderedDict`` keyed by page, least recently
 used first: a hit is one C-level ``move_to_end``, an eviction one

@@ -14,11 +14,12 @@ DET-PAR's segment/strip events and the black-box packing loop pop from
 the same structure, so their tie-breaking is defined in one place.
 GLOBAL-LRU does not use it.  It schedules one event per simulated
 request — one pending completion per processor, never cancelled — so
-it keeps a bare heap of ``(time, processor)`` pairs, which pops the
+it keeps a bare heap of ``(time, processor)`` keys, which pops the
 same ``(time, priority=processor)`` order without the per-event token,
 payload and cancellation bookkeeping, and skips the heap entirely while
-the processor it just served still holds the earliest completion (see
-:meth:`repro.parallel.timestep.GlobalLRU._run_event`).  The retained
+the processor it just served still holds the earliest completion.  That
+loop runs compiled on the native kernel tier, in python otherwise (see
+:mod:`repro.parallel.timestep`).  The retained
 per-timestep loops stay available as the reference oracle behind the
 ``$REPRO_SIM`` switch (:func:`sim_backend`), mirroring the ``run_box`` /
 ``run_box_fast`` pattern of :mod:`repro.paging.kernel`.

@@ -275,7 +275,7 @@ def make_box_server(workload, miss_cost: int) -> BoxServer:
 
 def request_feed(workload, proc: int) -> Iterator[List[int]]:
     """One processor's requests as plain-int lists, one per chunk
-    (GLOBAL-LRU's feed).
+    (the feed of GLOBAL-LRU's python loops).
 
     For a :class:`StreamingWorkload` each list is one store chunk, so a
     single chunk per processor is resident; in-memory and memmap columns

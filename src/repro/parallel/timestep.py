@@ -9,26 +9,31 @@ from the single shared LRU order, so one thrashing processor can evict
 everyone else's working set — the interference the paper's box model is
 designed to control.
 
-Two backends, selected by ``$REPRO_SIM`` (:func:`~repro.parallel.events.
-sim_backend`):
+Three loops.  ``$REPRO_SIM`` (:func:`~repro.parallel.events.sim_backend`)
+picks the event loop (default) or the reference, and the kernel tier
+picks the event loop's implementation, as it does for the box kernels:
 
-* ``event`` (default) — advance over service-completion events on a bare
-  heap of ``(time, processor)`` pairs.  Every processor has exactly one
-  pending completion while active, so same-time completions are served
-  in ascending processor order, and a processor that still holds the
-  earliest completion keeps serving without touching the heap.
-* ``reference`` — the retained per-timestep full-rescan loop (O(p) per
-  event instant), the historical oracle.  It serves same-time processors
-  in ascending index too, so both backends touch the shared LRU in the
-  same order and every count — completions, hits, faults, evictions — is
-  byte-identical.  The differential harness asserts exactly this.
+* compiled (the default, when the kernel tier resolves to native) —
+  ``repro_lru_run`` in :mod:`repro.paging._native` advances over
+  service-completion events on a heap of ``(time, processor)`` keys.
+  Every processor has exactly one pending completion while active, so
+  same-time completions are served in ascending processor order, and a
+  processor that still holds the earliest completion keeps serving
+  without touching the heap.  Columns go in whole, or one store chunk
+  at a time for a :class:`~repro.parallel.streaming.StreamingWorkload`.
+* python event (``REPRO_NATIVE=off``, ``REPRO_KERNEL=fast|reference``,
+  or keys too wide for int64) — the same loop over :class:`LRUCache`.
+* reference (``REPRO_SIM=reference``) — the retained per-timestep
+  full-rescan loop (O(p) per event instant), the historical oracle.  It
+  serves same-time processors in ascending index too, so all three loops
+  touch the shared LRU in the same order and every count — completions,
+  hits, faults, evictions — is byte-identical.  The differential harness
+  asserts exactly this.
 
-Requests are consumed strictly in order through
-:func:`~repro.parallel.streaming.request_feed`, one plain-int list per
-chunk, so a :class:`~repro.parallel.streaming.StreamingWorkload` is
-served directly from the trace store one chunk at a time — a
-million-request, thousand-processor run never holds more than one chunk
-per processor.
+Every loop consumes requests strictly in order, one chunk at a time
+(the python loops through :func:`~repro.parallel.streaming.request_feed`),
+so a streamed million-request, thousand-processor run never holds more
+than one chunk per processor.
 """
 
 from __future__ import annotations
@@ -40,12 +45,17 @@ from typing import Iterator, List
 import numpy as np
 
 from ..obs import metrics as obs_metrics
+from ..paging.kernel import _active_native
 from ..paging.lru import LRUCache
 from ..workloads.trace import ParallelWorkload
 from .events import ParallelRunResult, resolve_sim_backend
-from .streaming import request_feed
+from .streaming import StreamingWorkload, request_feed
 
 __all__ = ["GlobalLRU"]
+
+
+def _short_feed(proc: int) -> ValueError:
+    return ValueError(f"processor {proc}'s requests end before its declared length")
 
 
 class GlobalLRU:
@@ -76,19 +86,24 @@ class GlobalLRU:
         """Simulate the shared LRU until every processor finishes."""
         p = workload.p
         n = [int(x) for x in workload.lengths]
-        feeds = [request_feed(workload, i) for i in range(p)]
-        done = [n[i] == 0 for i in range(p)]
         completion = np.zeros(p, dtype=np.int64)
-        cache = LRUCache(self.cache_size)
-        if resolve_sim_backend("global-lru", p=p, lengths=n) == "event":
-            self._run_event(feeds, n, done, completion, cache)
+        backend = resolve_sim_backend("global-lru", p=p, lengths=n)
+        ops = _active_native() if backend == "event" else None
+        # the packed keys must fit the C loop's int64; python ints cannot overflow
+        if ops is not None and (self.miss_cost * sum(n) + 1) << p.bit_length() < 1 << 63:
+            hits, faults, evictions = self._run_native(ops, workload, n, completion)
         else:
-            self._run_reference(feeds, n, done, completion, cache)
+            feeds = [request_feed(workload, i) for i in range(p)]
+            done = [n[i] == 0 for i in range(p)]
+            cache = LRUCache(self.cache_size)
+            loop = self._run_event if backend == "event" else self._run_reference
+            loop(feeds, n, done, completion, cache)
+            hits, faults, evictions = cache.hits, cache.faults, cache.evictions
         reg = obs_metrics.active()
         if reg.enabled:
-            reg.counter("sim.timestep.hits").inc(cache.hits)
-            reg.counter("sim.timestep.faults").inc(cache.faults)
-            reg.counter("sim.timestep.evictions").inc(cache.evictions)
+            reg.counter("sim.timestep.hits").inc(hits)
+            reg.counter("sim.timestep.faults").inc(faults)
+            reg.counter("sim.timestep.evictions").inc(evictions)
             for i in range(p):
                 reg.counter("sim.timestep.served", proc=i).inc(n[i])
             reg.gauge("sim.timestep.makespan").record_max(int(completion.max()) if p else 0)
@@ -98,8 +113,44 @@ class GlobalLRU:
             trace=[],  # no box structure to record
             cache_size=self.cache_size,
             miss_cost=self.miss_cost,
-            meta={"hits": cache.hits, "faults": cache.faults},
+            meta={"hits": hits, "faults": faults},
         )
+
+    def _run_native(self, ops, workload, n: List[int], completion: np.ndarray):
+        """Compiled backend: :meth:`_run_event`'s loop as ``repro_lru_run``
+        (:mod:`repro.paging._native`), fed whole in-memory or memmap
+        columns, or one store chunk at a time; returns (hits, faults,
+        evictions)."""
+        p = len(n)
+        active = [i for i in range(p) if n[i]]
+        if not active:
+            return 0, 0, 0
+        cap = min(self.cache_size, sum(n))
+        bits = (2 * cap - 1).bit_length()  # a table of 2**bits >= 2 * cap slots
+        st = np.array([active[0], len(active) - 1, 0, -1, -1, 0, 0, 0, cap, bits], dtype=np.int64)
+        heap = np.zeros(p, dtype=np.int64)
+        heap[: len(active) - 1] = active[1:]  # time 0, sorted: a heap
+        proc = np.zeros((p, 4), dtype=np.int64)
+        proc[:, 0] = n
+        table = np.zeros(2 << bits, dtype=np.int64)
+        node = np.zeros(3 * cap, dtype=np.int64)
+        step = ops.lru_loop(p.bit_length(), self.miss_cost, st, heap, proc, table, node, completion)
+        if isinstance(workload, StreamingWorkload):
+            feeds = [workload.chunks(i) for i in range(p)]
+        else:
+            seqs = workload.sequences
+            feeds = [iter((seqs[i],)) for i in range(p)]
+        held = [None] * p  # each processor's chunk, alive until the loop moves past it
+        while (i := step()) >= 0:
+            chunk = next(feeds[i], None)
+            if chunk is None:
+                raise _short_feed(i)
+            # the loop reads a 1-D, C-contiguous, native-endian int64 column; copied only if not one
+            held[i] = chunk = np.ascontiguousarray(chunk, dtype=np.int64)
+            if chunk.ndim != 1:
+                raise ValueError(f"processor {i}'s requests are not a 1-D column")
+            proc[i, 1:] = chunk.ctypes.data, len(chunk), 0
+        return int(st[5]), int(st[6]), int(st[7])
 
     def _run_event(
         self,
@@ -109,7 +160,8 @@ class GlobalLRU:
         completion: np.ndarray,
         cache: LRUCache,
     ) -> None:
-        """Event backend: a bare heap of ``(time, proc)`` completions.
+        """Python event loop (the no-compiler fallback of :meth:`_run_native`):
+        a bare heap of ``(time, proc)`` completions.
 
         GLOBAL-LRU has one pending completion per active processor and
         never cancels one, so a heap of ``(time, proc)`` pairs pops
@@ -141,7 +193,7 @@ class GlobalLRU:
                 if not m or key > top:
                     break
             else:
-                raise ValueError(f"processor {i}'s requests end before its declared length")
+                raise _short_feed(i)
             if m:
                 left[i] = m
                 key = heapreplace(heap, key)
@@ -173,7 +225,9 @@ class GlobalLRU:
             for i in range(p):
                 if done[i] or busy_until[i] > t:
                     continue
-                page = next(pages[i])
+                page = next(pages[i], None)
+                if page is None:
+                    raise _short_feed(i)
                 cost = 1 if touch(page) else s
                 busy_until[i] = t + cost
                 pos[i] += 1

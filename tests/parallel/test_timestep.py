@@ -1,12 +1,42 @@
-"""Unit tests for the GLOBAL-LRU time-stepped shared-cache simulator."""
+"""Unit tests for the GLOBAL-LRU time-stepped shared-cache simulator.
+
+GLOBAL-LRU has three loops (see :mod:`repro.parallel.timestep`): the
+compiled event loop (the default), the python event loop (the
+no-compiler fallback) and the reference rescan (the oracle).  The
+differential tests pin all three to each other.
+"""
 
 from __future__ import annotations
 
+import sys
+import tempfile
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.obs import metrics as obs_metrics
+from repro.paging.kernel import native_flavor
+from repro.paging.lru import LRUCache
 from repro.parallel.timestep import GlobalLRU
 from repro.workloads.trace import ParallelWorkload
+
+HAVE_NATIVE = native_flavor() is not None
+#: GlobalLRU's loops; the compiled one runs only where the cc tier builds.
+LOOPS = ("compiled", "event", "reference") if HAVE_NATIVE else ("event", "reference")
+requires_native = pytest.mark.skipif(
+    not HAVE_NATIVE, reason="compiled tier unavailable (no C compiler, or REPRO_NATIVE=off)"
+)
+
+
+def _pin_loop(mp, loop):
+    """Select one of GlobalLRU's loops through the program's own switches."""
+    mp.delenv("REPRO_KERNEL", raising=False)
+    mp.setenv("REPRO_SIM", "reference" if loop == "reference" else "event")
+    if loop == "event":
+        mp.setenv("REPRO_NATIVE", "off")
 
 
 def wl(*seqs, allow_shared=False):
@@ -167,21 +197,35 @@ def test_heap_loop_is_byte_identical_to_full_rescan():
 # --------------------------------------------------------------------- #
 
 
-def _event_equals_reference(monkeypatch, workload, cache_size, miss_cost):
-    """Run both backends; assert completion times, hits, faults and
-    evictions agree, and return the event run's (completion, meta,
-    evictions)."""
-    from repro.obs import metrics as obs_metrics
-
+def _run_each_loop(monkeypatch, workload, cache_size, miss_cost):
+    """Run every loop; return ``{loop: (completion, meta, counters)}`` with
+    the wall-stripped ``sim.timestep.*``/``sim.traces.*`` metrics."""
     out = {}
-    for backend in ("event", "reference"):
-        monkeypatch.setenv("REPRO_SIM", backend)
-        with obs_metrics.collecting() as reg:
-            result = GlobalLRU(cache_size=cache_size, miss_cost=miss_cost).run(workload)
-        evictions = reg.snapshot()["counters"].get("sim.timestep.evictions", 0)
-        out[backend] = (result.completion_times.tolist(), result.meta, evictions)
-    assert out["event"] == out["reference"]
-    return out["event"]
+    for loop in LOOPS:
+        with monkeypatch.context() as mp:
+            _pin_loop(mp, loop)
+            with obs_metrics.collecting() as reg:
+                result = GlobalLRU(cache_size=cache_size, miss_cost=miss_cost).run(workload)
+        snap = obs_metrics.strip_wall(reg.snapshot())
+        sim = {
+            f"{section}:{key}": value
+            for section in ("counters", "gauges")
+            for key, value in snap[section].items()
+            if key.startswith(("sim.timestep.", "sim.traces."))
+        }
+        out[loop] = (result.completion_times.tolist(), result.meta, sim)
+    return out
+
+
+def _event_equals_reference(monkeypatch, workload, cache_size, miss_cost):
+    """Run every loop; assert completion times, hits, faults and
+    evictions agree, and return the reference run's (completion, meta,
+    evictions)."""
+    out = _run_each_loop(monkeypatch, workload, cache_size, miss_cost)
+    for loop in LOOPS:
+        assert out[loop] == out["reference"], loop
+    completion, meta, sim = out["reference"]
+    return completion, meta, sim["counters:sim.timestep.evictions"]
 
 
 def test_same_instant_completions_serve_in_processor_order(monkeypatch):
@@ -238,14 +282,126 @@ def test_zero_length_columns(monkeypatch):
     assert meta == {"hits": 0, "faults": 0}
 
 
-def test_feed_shorter_than_declared_length_raises(monkeypatch):
-    # the event loop must fail loudly, not requeue a processor with no
-    # requests left
+@pytest.mark.parametrize("loop", ["compiled", "event", "reference"])
+def test_feed_shorter_than_declared_length_raises(monkeypatch, loop):
+    # every loop must fail loudly, not requeue a processor with no
+    # requests left or leak a bare StopIteration
+    if loop not in LOOPS:
+        pytest.skip("compiled tier unavailable")
+
     class Short:
         p = 1
         lengths = (5,)
         sequences = [np.arange(3, dtype=np.int64)]
 
-    monkeypatch.setenv("REPRO_SIM", "event")
+    _pin_loop(monkeypatch, loop)
     with pytest.raises(ValueError, match="declared length"):
         GlobalLRU(cache_size=4, miss_cost=2).run(Short())
+
+
+# --------------------------------------------------------------------- #
+# compiled ≡ python event ≡ rescan on drawn workloads
+# --------------------------------------------------------------------- #
+
+
+@st.composite
+def _global_lru_cases(draw):
+    p = draw(st.integers(1, 9))
+    # ids that share table slots: multiples of 2**32 and negative ids
+    scale = draw(st.sampled_from([1, -1, 2**32, -(2**32)]))
+    pool = draw(st.integers(1, 20))
+    seqs = [
+        [scale * x for x in draw(st.lists(st.integers(0, pool), max_size=30))]
+        for _ in range(p)
+    ]
+    cache_size = draw(st.one_of(st.integers(1, 16), st.just(10**9)))
+    miss_cost = draw(st.integers(2, 9))
+    chunk_rows = draw(st.sampled_from([None, 1, 2, 3, 7]))  # None: in memory
+    return seqs, cache_size, miss_cost, chunk_rows
+
+
+@settings(max_examples=120)
+@given(case=_global_lru_cases())
+def test_loops_agree_on_drawn_workloads(monkeypatch, case):
+    from repro.parallel.streaming import open_streaming
+    from repro.traces.store import write_store
+
+    seqs, cache_size, miss_cost, chunk_rows = case
+    workload = wl(*seqs, allow_shared=True)  # pages shared across processors
+    with tempfile.TemporaryDirectory() as tmp:
+        if chunk_rows is not None:  # the compiled loop resumes at every chunk
+            workload = open_streaming(write_store(f"{tmp}/w.trc", workload, chunk_rows=chunk_rows))
+        out = _run_each_loop(monkeypatch, workload, cache_size, miss_cost)
+    for loop in LOOPS:
+        assert out[loop] == out["reference"], loop
+
+
+def test_loops_agree_on_a_deep_heap(monkeypatch):
+    # 300 processors keep ~8 heap levels busy; the drawn cases stay shallow
+    rng = np.random.default_rng(8)
+    seqs = [rng.integers(0, 40, size=int(rng.integers(0, 30))).tolist() for _ in range(300)]
+    out = _run_each_loop(monkeypatch, wl(*seqs, allow_shared=True), cache_size=24, miss_cost=5)
+    for loop in LOOPS:
+        assert out[loop] == out["reference"], loop
+
+
+def test_oversized_keys_fall_back_to_python(monkeypatch):
+    # (miss_cost * requests + 1) << shift would overflow int64, so the run
+    # takes the python loop, whose ints cannot overflow
+    monkeypatch.delenv("REPRO_SIM", raising=False)
+    result = GlobalLRU(cache_size=2, miss_cost=2**61).run(wl([1, 1, 2], [4]))
+    assert result.completion_times.tolist() == [2**62 + 1, 2**61]
+    assert result.meta == {"hits": 1, "faults": 3}
+
+
+@requires_native
+def test_default_tier_never_touches_the_python_lru(monkeypatch):
+    def refuse(self, page):
+        raise AssertionError("LRUCache.touch called on the compiled tier")
+
+    workload = wl([1, 2, 3, 1], [2, 9, 9], allow_shared=True)
+    monkeypatch.delenv("REPRO_SIM", raising=False)
+    monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    monkeypatch.setattr(LRUCache, "touch", refuse)
+    assert GlobalLRU(cache_size=2, miss_cost=3).run(workload).meta == {"hits": 2, "faults": 5}
+
+
+def test_numpy_fallback_runs_the_python_loop(monkeypatch):
+    calls = []
+    touch = LRUCache.touch
+    monkeypatch.setattr(LRUCache, "touch", lambda self, page: calls.append(page) or touch(self, page))
+    monkeypatch.setenv("REPRO_NATIVE", "off")
+    monkeypatch.delenv("REPRO_SIM", raising=False)
+    GlobalLRU(cache_size=2, miss_cost=3).run(wl([1, 2, 3, 1], [2, 9, 9], allow_shared=True))
+    assert sorted(calls) == [1, 1, 2, 2, 3, 9, 9]
+
+
+def test_concurrent_runs_match_serial_runs():
+    rng = np.random.default_rng(5)
+    workloads = [
+        ParallelWorkload.from_local([rng.integers(0, 40, size=3000) for _ in range(6)])
+        for _ in range(2)
+    ]
+    serial = [GlobalLRU(24, 5).run(w) for w in workloads]
+    got = [[], []]
+
+    def work(k):
+        for _ in range(8):
+            got[k].append(GlobalLRU(24, 5).run(workloads[k]))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    for k in range(2):
+        assert len(got[k]) == 8
+        for result in got[k]:
+            assert result.completion_times.tolist() == serial[k].completion_times.tolist()
+            assert result.meta == serial[k].meta

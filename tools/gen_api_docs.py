@@ -208,10 +208,11 @@ the compiled `native` tier below is the default:
 
 ## Native kernel
 
-The `native` kernel tier compiles the three inner loops — the
-reuse-distance sweep, the per-box service walk, and the blocked
-ladder/DP probe — to machine code, keeping the numpy fast path and the
-dict-LRU reference as bit-identical oracles below it:
+The `native` kernel tier compiles four inner loops — the
+reuse-distance sweep, the per-box service walk, the blocked ladder/DP
+probe, and GLOBAL-LRU's shared-cache event loop — to machine code,
+keeping the numpy fast path (for GLOBAL-LRU, the python event loop) and
+the dict-LRU reference as bit-identical oracles below it:
 
 - **The default, with one fallback.** With `$REPRO_KERNEL` unset,
   `kernel_backend()` resolves to `native` whenever
@@ -235,11 +236,15 @@ dict-LRU reference as bit-identical oracles below it:
   loaded.  Builds compile in a private scratch directory and land with
   an atomic rename, so concurrent builds never see a torn file.
 - **Exactness is the only contract.** Box endpoints, hit/fault splits,
-  ladder plans, DP distances and parents (including tie-breaks) must
-  equal the fast and reference tiers bit for bit;
+  ladder plans, DP distances and parents (including tie-breaks), and
+  GLOBAL-LRU completion times, hits, faults and evictions must equal
+  the fast and reference tiers bit for bit;
   `tests/paging/test_native.py` pins the three-way equivalence
   property-style on random boxes, streamed chunked appends with
-  compaction, and the offline DP on non-power-of-two `(k, p)` lattices.
+  compaction, and the offline DP on non-power-of-two `(k, p)` lattices,
+  and `tests/parallel/test_timestep.py` holds the compiled GLOBAL-LRU
+  loop to the python loop and the rescan on drawn workloads, streamed
+  in chunks as small as one row.
   `benchmarks/bench_kernel.py` times all three tiers on the same arms
   and fails if the compiled tier loses to numpy (`BENCH_kernel.json`
   records the measured ratios; the DP arm runs ~34× faster under the
@@ -274,9 +279,12 @@ byte-identical oracle:
   Ordering can never depend on event payloads, and
   `tests/parallel/test_events.py` holds the invariant under hypothesis.
   GLOBAL-LRU, one event per simulated request, keeps a bare heap of
-  `(time, processor)` pairs instead — the same order with the
+  `(time, processor)` keys instead — the same order with the
   processor as priority — and keeps serving the popped processor while
-  its next completion is still the earliest pair.
+  its next completion is still the earliest key.  On the native tier
+  that loop runs compiled (`repro_lru_run`, with the shared LRU in an
+  open-addressing table); `REPRO_NATIVE=off` and
+  `REPRO_KERNEL=fast|reference` run it in python over `LRUCache`.
 - **Arbitrary `k >= p >= 1`.** `HeightLattice` is a doubling ladder
   from `max(1, k // p)` clamped at `k` — identical to the paper's
   lattice on power-of-two inputs, well-defined on everything else, with
@@ -293,8 +301,10 @@ byte-identical oracle:
   served prefix behind it: resident rows per processor are bounded by
   the largest box budget plus one store chunk, independent of trace
   length (`benchmarks/bench_stream.py` proves it with `tracemalloc` on
-  a million-request, 1024-processor run).  GLOBAL-LRU streams through
-  `request_feed`, which yields each chunk as one plain-int list.
+  a million-request, 1024-processor run).  GLOBAL-LRU's compiled loop
+  takes one store chunk at a time and returns to fetch the next; its
+  python loops stream through `request_feed`, one plain-int list per
+  chunk.
   `repro run --trace <ref> --stream` selects the path from the CLI;
   `sim.traces.*` counters record the chunk traffic.
 - **Differential lockdown.** `REPRO_SIM=reference` routes every
@@ -309,7 +319,8 @@ byte-identical oracle:
   across the `(k, p, algorithm, workload-family)` matrix, powers of two
   or not;
   `tests/parallel/test_differential.py` is the harness and CI's
-  `stream` job replays it end-to-end through the CLI.
+  `stream` job replays it end-to-end through the CLI, on the compiled
+  tier and with `REPRO_NATIVE=off`.
 
 ## Observability
 
