@@ -19,12 +19,9 @@ Two cells are recorded:
   loop (compiled on the native tier) vs ``REPRO_SIM=reference`` full
   rescan.  Ratio asserted >= 5.
 * ``det-par`` (gated >= 1): the box algorithm on the same stream under
-  the shipping config — ``REPRO_KERNEL=native`` + ``REPRO_SIM=auto`` —
-  vs the forced per-instant reference.  ``auto`` resolves per cell: the
-  native kernel makes event-driven boxes cheap enough to win, while the
-  numpy kernel on this imbalanced stream would fall back to the
-  reference rescan (the ISSUE-10 regression fix).  The resolved backend
-  and native flavor are recorded in the report.
+  the shipping config — ``REPRO_KERNEL=native`` and the default event
+  simulator — vs the forced per-instant reference.  The native flavor
+  is recorded in the report.
 
 The report lands in ``benchmarks/out/BENCH_stream.json`` **and** the
 committed repo-root ``BENCH_stream.json`` (same idiom as
@@ -44,7 +41,6 @@ import numpy as np
 
 from repro.core import DetPar
 from repro.paging.kernel import clear_kernel_cache, native_flavor
-from repro.parallel.events import resolve_sim_backend
 from repro.parallel.streaming import open_streaming
 from repro.parallel.timestep import GlobalLRU
 from repro.traces.store import write_store
@@ -131,29 +127,22 @@ def bench_stream_million(benchmark, out_dir, tmp_path):
     peak_mb = peak / 1e6
 
     # ---------------- gated cell: det-par on the same stream ---------- #
-    # Shipping config: native kernel tier + per-cell backend auto-select.
+    # Shipping config: native kernel tier + the default event simulator.
     # The kernel cache is cleared between flips so each run constructs its
     # kernels under its own REPRO_KERNEL (backends are captured at kernel
     # construction time).
-    detpar_env = {"REPRO_SIM": "auto", "REPRO_KERNEL": "native"}
+    detpar_env = {"REPRO_KERNEL": "native"}
 
     def detpar_run():
         clear_kernel_cache()
         return DetPar(DETPAR_CACHE, MISS_COST).run(open_streaming(store))
 
-    stream = open_streaming(store)
-    det_backend = _with_env(
-        detpar_env,
-        lambda: resolve_sim_backend(
-            "box-server", streaming=True, p=stream.p, lengths=stream.lengths
-        ),
-    )
     det_flavor = _with_env(detpar_env, native_flavor)
 
-    det_res, det_auto_s = _with_env(detpar_env, lambda: _timed(detpar_run))
+    det_res, det_event_s = _with_env(detpar_env, lambda: _timed(detpar_run))
     for _ in range(EVENT_ROUNDS - 1):
         _, again = _with_env(detpar_env, lambda: _timed(detpar_run))
-        det_auto_s = min(det_auto_s, again)
+        det_event_s = min(det_event_s, again)
     det_ref, det_ref_s = _reference(detpar_run)
     assert det_res.completion_times.tolist() == det_ref.completion_times.tolist()
     assert det_res.makespan == det_ref.makespan
@@ -182,11 +171,10 @@ def bench_stream_million(benchmark, out_dir, tmp_path):
                 "cache_size": DETPAR_CACHE,
                 "kernel": "native",
                 "native_flavor": det_flavor,
-                "auto_backend": det_backend,
-                "auto_s": det_auto_s,
+                "event_s": det_event_s,
                 "reference_s": det_ref_s,
-                "speedup": det_ref_s / det_auto_s,
-                "auto_requests_per_s": total / det_auto_s,
+                "speedup": det_ref_s / det_event_s,
+                "event_requests_per_s": total / det_event_s,
                 "makespan": int(det_res.makespan),
                 "boxes": len(det_res.trace),
             },
@@ -204,7 +192,7 @@ def bench_stream_million(benchmark, out_dir, tmp_path):
             {
                 "cell": "det-par",
                 "min_speedup": DETPAR_GATE_RATIO,
-                "measured_speedup": det_ref_s / det_auto_s,
+                "measured_speedup": det_ref_s / det_event_s,
             },
         ],
     }
@@ -219,8 +207,8 @@ def bench_stream_million(benchmark, out_dir, tmp_path):
     assert ref_s / event_s >= GATE_RATIO, (
         f"event engine only {ref_s / event_s:.1f}x faster than the timestep reference"
     )
-    assert det_ref_s / det_auto_s >= DETPAR_GATE_RATIO, (
-        f"det-par auto backend ({det_backend}, kernel flavor {det_flavor}) is "
+    assert det_ref_s / det_event_s >= DETPAR_GATE_RATIO, (
+        f"det-par event backend (kernel flavor {det_flavor}) is "
         f"slower than the per-instant reference "
-        f"(auto={det_auto_s:.2f}s, reference={det_ref_s:.2f}s)"
+        f"(event={det_event_s:.2f}s, reference={det_ref_s:.2f}s)"
     )

@@ -6,14 +6,16 @@ arrays — so per-worker startup cost and resident memory scale with trace
 length.  This module removes the arrays from the pickle path:
 
 * **Workloads spill to the trace store.**  An in-memory
-  :class:`~repro.workloads.ParallelWorkload` above a row threshold is
-  written (once, digest-named) to a spooled ``.trc`` via
+  :class:`~repro.workloads.ParallelWorkload` of at least
+  :data:`DEFAULT_SPILL_ROWS` requests is written (once, digest-named)
+  to a spooled ``.trc`` via
   :func:`repro.traces.store.spill_workload`; the resulting
   :class:`~repro.traces.store.StoredWorkload` pickles as its *path* and
   workers re-open the ``np.memmap`` — the OS shares one page cache
   across every worker.
-* **Request arrays ride shared memory.**  A large ``seq`` parameter is
-  copied once into a :mod:`multiprocessing.shared_memory` segment and
+* **Request arrays ride shared memory.**  A ``seq`` parameter of at
+  least :data:`DEFAULT_SHM_ROWS` rows is copied once into a
+  :mod:`multiprocessing.shared_memory` segment and
   replaced by a tiny :class:`ShmArray` handle; workers rebuild a plain
   ndarray view over the same physical pages.
 * **Kernel precomputes ship, not recompute.**  When the parent already
@@ -23,6 +25,9 @@ length.  This module removes the arrays from the pickle path:
   segments and are seeded into the worker's kernel cache
   (:func:`repro.paging.kernel.seed_kernel`), so no worker repeats the
   O(n log n) sweep.
+
+Both thresholds are fixed constants; smaller payloads ride the ordinary
+pickle path.
 
 Cache keys are untouched by all of this: the engine computes them from
 the *original* units before handoff, and a spilled workload fingerprints
@@ -57,16 +62,10 @@ __all__ = [
     "PreparedTask",
     "HandoffManager",
     "execute_prepared",
-    "SPILL_ROWS_ENV",
-    "SHM_ROWS_ENV",
     "DEFAULT_SPILL_ROWS",
     "DEFAULT_SHM_ROWS",
 ]
 
-#: Environment overrides for the handoff thresholds (rows, i.e. int64
-#: elements).  ``0`` disables the respective transform.
-SPILL_ROWS_ENV = "REPRO_HANDOFF_SPILL_ROWS"
-SHM_ROWS_ENV = "REPRO_HANDOFF_SHM_ROWS"
 #: Spill workloads >= 64 Ki rows (512 KiB of requests) to a ``.trc``.
 DEFAULT_SPILL_ROWS = 1 << 16
 #: Share sequences >= 16 Ki rows (128 KiB) over shared memory.
@@ -98,16 +97,6 @@ class PreparedTask:
     seed: Optional[Tuple[ShmArray, ShmArray]] = None
 
 
-def _threshold(env: str, default: int) -> int:
-    raw = os.environ.get(env)
-    if raw is None or not raw.strip():
-        return default
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return default
-
-
 class HandoffManager:
     """Parent-side owner of spill files and shared-memory segments.
 
@@ -117,18 +106,7 @@ class HandoffManager:
     the ordinary pickle path, byte-identical results either way.
     """
 
-    def __init__(
-        self,
-        spill_rows: Optional[int] = None,
-        shm_rows: Optional[int] = None,
-        spill_dir: Optional[os.PathLike] = None,
-    ) -> None:
-        self.spill_rows = (
-            _threshold(SPILL_ROWS_ENV, DEFAULT_SPILL_ROWS) if spill_rows is None else int(spill_rows)
-        )
-        self.shm_rows = (
-            _threshold(SHM_ROWS_ENV, DEFAULT_SHM_ROWS) if shm_rows is None else int(shm_rows)
-        )
+    def __init__(self, spill_dir: Optional[os.PathLike] = None) -> None:
         self._spill_dir: Optional[str] = os.fspath(spill_dir) if spill_dir is not None else None
         self._own_spill_dir = spill_dir is None
         self._segments: List[Any] = []
@@ -195,23 +173,14 @@ class HandoffManager:
         seed: Optional[Tuple[ShmArray, ShmArray]] = None
 
         wl = params.get("workload")
-        if (
-            self.spill_rows
-            and type(wl) is ParallelWorkload
-            and wl.total_requests >= self.spill_rows
-        ):
+        if type(wl) is ParallelWorkload and wl.total_requests >= DEFAULT_SPILL_ROWS:
             stored = self._spill(wl)
             if stored is not None:
                 params["workload"] = stored
                 changed = True
 
         seq = params.get("seq")
-        if (
-            self.shm_rows
-            and isinstance(seq, np.ndarray)
-            and seq.ndim == 1
-            and len(seq) >= self.shm_rows
-        ):
+        if isinstance(seq, np.ndarray) and seq.ndim == 1 and len(seq) >= DEFAULT_SHM_ROWS:
             handle = self._share(seq)
             if handle is not None:
                 params["seq"] = handle

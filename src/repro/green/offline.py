@@ -94,7 +94,7 @@ def optimal_box_profile(
         # Batched relaxation: blocked windowed passes yield the endpoints
         # of every lattice height for a run of consecutive starts at once
         # (the hit sets of a geometric height ladder are nested — see
-        # SequenceKernel.box_ends).  The tables live as plain-int lists
+        # SequenceKernel.ladder_plan).  The tables live as plain-int lists
         # during the sweep: the loop body is scalar compares, where numpy
         # scalar indexing would triple the cost.
         hladder = tuple(int(h) for h in heights)

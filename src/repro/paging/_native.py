@@ -17,19 +17,21 @@ or by O(window) vectorized work per probe:
   next one; a streamed run never holds more than one chunk per processor.
 
 This module compiles those loops from one small C translation unit with
-the system C compiler into a content-addressed shared library and loads
-it through :mod:`ctypes` (no third-party dependency at all).  Every
-value it produces — reuse distances, box endpoints, DP distances and
-parent pointers, GLOBAL-LRU completion times and counts — is
-bit-identical to the numpy fast path (or python event loop) and to the
-reference.  With ``$REPRO_KERNEL`` unset the kernel runs on
-this tier whenever the library builds; when it cannot be built (no
-compiler) :func:`native_ops` returns ``None`` and the kernel falls back
-to the numpy fast path (see :func:`repro.paging.kernel.kernel_backend`).
+the system C compiler (``$CC``, default ``cc``) into a content-addressed
+shared library and loads it through :mod:`ctypes` (no third-party
+dependency at all).  Every value it produces — reuse distances, box
+endpoints, DP distances and parent pointers, GLOBAL-LRU completion times
+and counts — is bit-identical to the numpy fast path (or python event
+loop) and to the reference.  With ``$REPRO_KERNEL`` unset the kernel
+runs on this tier whenever the library builds; when it cannot be built
+(no compiler) :func:`native_ops` returns ``None`` and the kernel falls
+back to the numpy fast path (see
+:func:`repro.paging.kernel.kernel_backend`).  Whether it builds is
+observed once per process, not chosen: ``REPRO_KERNEL=fast`` is how a
+caller pins the numpy tier, and ``CC=false`` with an empty cache is how
+CI simulates a host without a compiler.
 
-``$REPRO_NATIVE`` pins the flavor: ``auto`` (default) or ``cc`` build
-the library, ``off`` pretends no compiler exists (CI uses it to keep
-the numpy fallback covered).  The library is cached per user in
+The library is cached per user in
 ``$REPRO_NATIVE_CACHE`` (default ``$TMPDIR/repro-native-<uid>``,
 created with mode 0700).  Its source is public, so its content-addressed
 name is predictable: before writing into the cache or loading from it,
@@ -59,10 +61,8 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-__all__ = ["NativeOps", "native_ops", "native_flavor", "NATIVE_ENV", "clear_native_cache"]
+__all__ = ["NativeOps", "native_ops", "native_flavor", "clear_native_cache"]
 
-#: Environment variable pinning the native flavor (auto/cc/off).
-NATIVE_ENV = "REPRO_NATIVE"
 #: Environment variable overriding the cc build cache directory.
 NATIVE_CACHE_ENV = "REPRO_NATIVE_CACHE"
 
@@ -117,32 +117,6 @@ void repro_box_run(const int64_t *prev, const int64_t *reuse, int64_t n,
     out3[0] = i - start;
     out3[1] = hits;
     out3[2] = t;
-}
-
-/* Box endpoints for a block of B consecutive starts across a whole
- * ascending height ladder.  lev[i] is the first ladder index whose
- * height exceeds reuse[i] (so level l hits i iff lev[i] <= l), which
- * collapses the nested hit sets to one comparison per request. */
-void repro_ladder_block(const int64_t *prev, const int64_t *lev, int64_t n,
-                        int64_t L, const int64_t *budgets, int64_t s,
-                        int64_t q0, int64_t B, int64_t *ends_out) {
-    int64_t b, l, q, budget, t, i, c;
-    for (b = 0; b < B; b++) {
-        q = q0 + b;
-        for (l = 0; l < L; l++) {
-            budget = budgets[l];
-            t = 0;
-            i = q;
-            while (i < n) {
-                c = (prev[i] >= q && lev[i] <= l) ? 1 : s;
-                if (t + c > budget)
-                    break;
-                t += c;
-                i++;
-            }
-            ends_out[b * L + l] = i;
-        }
-    }
 }
 
 /* The whole offline green DP relaxation (repro.green.offline): ascending
@@ -294,16 +268,13 @@ out:
 
 @dataclass(frozen=True)
 class NativeOps:
-    """Flavor-agnostic handle to the compiled kernel primitives.
+    """Handle to the compiled kernel primitives.
 
     Every callable takes contiguous int64 numpy arrays and plain ints;
-    output arrays are filled in place.  ``flavor`` is ``"cc"`` (reported
-    by benchmarks and the ``sim.*`` metrics).
+    output arrays are filled in place.
     """
 
-    flavor: str
     reuse_sweep: Callable[..., None]
-    ladder_block: Callable[..., None]
     dp_solve: Callable[..., None]
     #: ``prepare(prev, reuse)`` -> opaque handle; ``box_probe(handle, n,
     #: start, height, budget, s)`` -> ``[served, hits, time_used]`` of one
@@ -322,7 +293,7 @@ class NativeOps:
 
 
 # --------------------------------------------------------------------- #
-# cc flavor: compile-on-demand C shared library, loaded via ctypes
+# compile-on-demand C shared library, loaded via ctypes
 # --------------------------------------------------------------------- #
 def _cc_build_dir() -> Path:
     override = os.environ.get(NATIVE_CACHE_ENV)
@@ -413,7 +384,6 @@ def _cc_ops() -> Optional[NativeOps]:
     for name, argtypes in (
         ("repro_reuse_sweep", [p_i64, c_i64, c_i64, c_i64, p_i64, c_i64, p_i64]),
         ("repro_box_run", [p_i64, p_i64, c_i64, c_i64, c_i64, c_i64, c_i64, p_i64]),
-        ("repro_ladder_block", [p_i64, p_i64, c_i64, c_i64, p_i64, c_i64, c_i64, c_i64, p_i64]),
         ("repro_dp_solve", [p_i64, p_i64, c_i64, c_i64, p_i64, p_i64, p_i64, c_i64, c_i64, p_i64, p_i64, p_i64]),
         ("repro_lru_run", [c_i64, c_i64] + [p_i64] * 6),
     ):
@@ -449,11 +419,6 @@ def _cc_ops() -> Optional[NativeOps]:
         box_fn(handle[0], handle[1], n, start, height, budget, s, optr)
         return out.tolist()
 
-    def ladder_block(prev, lev, n, budgets, s, q0, B, ends_out):
-        lib.repro_ladder_block(
-            ptr(prev), ptr(lev), n, len(budgets), ptr(budgets), s, q0, B, ptr(ends_out)
-        )
-
     def dp_solve(prev, lev, budgets, costs, heights, s, inf, dist, parent_pos, parent_h):
         lib.repro_dp_solve(
             ptr(prev), ptr(lev), len(prev), len(budgets), ptr(budgets), ptr(costs),
@@ -466,9 +431,7 @@ def _cc_ops() -> Optional[NativeOps]:
         return step
 
     return NativeOps(
-        flavor="cc",
         reuse_sweep=reuse_sweep,
-        ladder_block=ladder_block,
         dp_solve=dp_solve,
         prepare=prepare,
         box_probe=box_probe,
@@ -476,37 +439,32 @@ def _cc_ops() -> Optional[NativeOps]:
     )
 
 
-# --------------------------------------------------------------------- #
-# flavor selection
-# --------------------------------------------------------------------- #
-_OPS_CACHE: dict = {}
+#: The probed build result, ``_UNPROBED`` until the first call.
+_UNPROBED = object()
+_ops: object = _UNPROBED
 
 
 def native_ops() -> Optional[NativeOps]:
     """The compiled primitives, or ``None`` when they cannot be built.
 
-    Flavor is chosen by ``$REPRO_NATIVE``: ``auto`` (default) or ``cc``
-    build the C library, ``off`` disables it.  The probe result is
-    cached per flavor request, so hot paths pay one dict lookup.
+    The build is attempted once per process and its result cached, so
+    hot paths pay one global lookup.
     """
-    mode = os.environ.get(NATIVE_ENV, "auto").strip().lower() or "auto"
-    if mode == "off":
-        return None
-    if mode not in ("auto", "cc"):
-        raise ValueError(
-            f"unknown {NATIVE_ENV} flavor {mode!r}; expected 'auto', 'cc', or 'off'"
-        )
-    if mode not in _OPS_CACHE:
-        _OPS_CACHE[mode] = _cc_ops()
-    return _OPS_CACHE[mode]
+    global _ops
+    if _ops is _UNPROBED:
+        _ops = _cc_ops()
+    return _ops
 
 
 def native_flavor() -> Optional[str]:
     """``"cc"`` when the compiled tier is usable, else ``None``."""
-    ops = native_ops()
-    return ops.flavor if ops is not None else None
+    return "cc" if native_ops() is not None else None
 
 
 def clear_native_cache() -> None:
-    """Forget probed flavors (tests that flip ``$REPRO_NATIVE`` mid-process)."""
-    _OPS_CACHE.clear()
+    """Forget the cached build result, so the next call probes again.
+
+    For tests that change ``$CC`` or ``$REPRO_NATIVE_CACHE`` mid-process.
+    """
+    global _ops
+    _ops = _UNPROBED

@@ -108,7 +108,7 @@ def run_box(
     seq:
         Full request sequence (1-D integer array).
     start:
-        Position of the first unserved request.
+        Position of the first unserved request (>= 0).
     height:
         Cache capacity inside the box (>= 1).
     budget:
@@ -121,6 +121,8 @@ def run_box(
     BoxRun
         Progress and accounting for the box.
     """
+    if start < 0:
+        raise ValueError(f"box start must be >= 0, got {start}")
     if height < 1:
         raise ValueError(f"box height must be >= 1, got {height}")
     if miss_cost <= 1:

@@ -32,9 +32,19 @@ rows, selected by ``$REPRO_KERNEL``:
   event loop through the cc-compiled primitives of
   :mod:`repro.paging._native`;
 * ``fast`` is the numpy path below, which is also what ``native``
-  resolves to when no C compiler is available (or ``REPRO_NATIVE=off``);
+  resolves to when the compiled library cannot be built (no usable C
+  compiler);
 * ``reference`` makes every threaded call site fall back to the
   dict-LRU loop, the cross-check oracle.
+
+Each job has one path per tier.  A box is one walk
+(:meth:`_KernelOps.box`): the compiled probe, else a scalar walk over
+plain-int lists that hands long boxes to one vectorized pass.  The
+offline DP runs compiled as a whole (:func:`native_dp_solve`) or, on the
+numpy tier, over a :class:`_LadderPlan`.
+:func:`repro.paging.stack.stack_distances` reads its distances off a
+:class:`SequenceKernel` too, so the sweep here is the only
+reuse-distance sweep in :mod:`repro.paging`.
 
 Two kernel flavors:
 
@@ -185,9 +195,9 @@ def kernel_backend() -> str:
     exists as a cross-check oracle and an escape hatch, and ``native``
     routes the inner loops through :mod:`repro.paging._native`.  When
     ``native`` is requested (or ``$REPRO_KERNEL`` is unset) but the
-    compiled library is unavailable (no usable C compiler, or
-    ``REPRO_NATIVE=off``), this resolves to ``"fast"`` — the numpy
-    fallback, never an error.
+    compiled library is unavailable (no usable C compiler), this
+    resolves to ``"fast"`` — the numpy fallback, never an error.
+    ``REPRO_KERNEL=fast`` pins the numpy tier where a compiler exists.
     """
     tier = _requested_tier()
     if tier == "native" and native_ops() is None:
@@ -208,72 +218,105 @@ def _active_native():
 
 
 class _KernelOps:
-    """Shared vectorized box evaluation over ``prev_occ``/``reuse_dist``.
+    """The one box walk over ``prev_occ``/``reuse_dist``.
 
     Subclasses provide ``_prev``/``_reuse`` (int64 arrays, at least
-    ``_n`` valid entries) in *local* coordinates plus ``_ops``/``_hand``
-    (the construction-time native primitives and their prepared-probe
-    handle, both ``None`` on the numpy tier).  No validation happens
-    here: callers either go through :func:`run_box_fast` (which validates
-    like the reference) or pre-validate once (the offline DP).
+    ``_n`` valid entries) in *local* coordinates, their plain-int
+    mirrors ``_prev_list``/``_reuse_list`` (built lazily), ``base`` (the
+    global index of local position 0) plus ``_ops``/``_hand`` (the
+    construction-time native primitives and their prepared-probe handle,
+    both ``None`` on the numpy tier).  Only the window base is checked
+    here: callers either go through :func:`run_box_fast` (which
+    validates like the reference) or pass pre-validated arguments (the
+    box server).
     """
 
     _prev: np.ndarray
     _reuse: np.ndarray
     _n: int
+    _prev_list: Optional[List[int]]
+    _reuse_list: Optional[List[int]]
     _ops: object
     _hand: object
+    base: int
 
-    def box_end(self, start: int, height: int, budget: int, miss_cost: int) -> int:
-        """First unserved position after a box — the offline DP's only need.
+    def box(self, start: int, height: int, budget: int, miss_cost: int) -> BoxRun:
+        """Full :class:`BoxRun` for one box from global position ``start``.
 
-        Pre-validated fast path: ``height``/``miss_cost`` are assumed
-        legal (hoist the checks out of the probe loop).
+        On the native tier the walk runs compiled, with no length
+        cutoff — the compiled loop is O(served) at C speed.  Otherwise
+        it is the reference loop verbatim over the precomputed hit
+        predicate, on plain-int lists, so it is exact by construction:
+        box algorithms serve a handful of requests per box, where ~10
+        numpy dispatches per box would dominate.  After ``_SCALAR_MAX``
+        served requests with budget to spare it defers to the
+        vectorized pass (the walk so far is then sunk cost, but boxes
+        that large are exactly where vectorization wins).
         """
-        n = self._n
+        local = start - self.base
+        if local < 0:
+            raise ValueError(f"box start {start} precedes retained window base {self.base}")
         ops = self._ops
-        if ops is not None and start < n:
+        if ops is not None:
             hand = self._hand
             if hand is None:
                 hand = self._hand = ops.prepare(self._prev, self._reuse)
-            served, _, _ = ops.box_probe(hand, n, start, height, budget, miss_cost)
-            return start + served
-        stop = start + budget
-        if stop > n:
-            stop = n
-        if stop <= start:
-            return start
-        hit = (self._prev[start:stop] >= start) & (self._reuse[start:stop] < height)
-        cum = np.cumsum(miss_cost - (miss_cost - 1) * hit)
-        return start + int(np.searchsorted(cum, budget, side="right"))
-
-    def box(self, start: int, height: int, budget: int, miss_cost: int, offset: int = 0) -> BoxRun:
-        """Full :class:`BoxRun` for one box, shifted by ``offset`` into
-        global coordinates (used by the streaming engine)."""
-        n = self._n
-        stop = start + budget
-        if stop > n:
-            stop = n
-        if stop <= start:
+            served, hits, t = ops.box_probe(hand, self._n, local, height, budget, miss_cost)
             return BoxRun(
-                start=start + offset,
-                end=start + offset,
-                hits=0,
-                faults=0,
-                time_used=0,
+                start=start,
+                end=start + served,
+                hits=hits,
+                faults=served - hits,
+                time_used=t,
                 budget=budget,
                 height=height,
             )
-        hit = (self._prev[start:stop] >= start) & (self._reuse[start:stop] < height)
+        pl = self._prev_list
+        if pl is None:
+            pl = self._prev_list = self._prev.tolist()
+            rl = self._reuse_list = self._reuse.tolist()
+        else:
+            rl = self._reuse_list
+        n = self._n
+        i = local
+        t = 0
+        hits = 0
+        cutoff = local + _SCALAR_MAX
+        while i < n:
+            c = 1 if (pl[i] >= local and rl[i] < height) else miss_cost
+            nt = t + c
+            if nt > budget:
+                break
+            t = nt
+            if c == 1:
+                hits += 1
+            i += 1
+            if i == cutoff and t < budget:
+                # still both budget and window left: go vectorized
+                return self._vector_box(start, local, height, budget, miss_cost)
+        return BoxRun(
+            start=start,
+            end=start + (i - local),
+            hits=hits,
+            faults=i - local - hits,
+            time_used=t,
+            budget=budget,
+            height=height,
+        )
+
+    def _vector_box(self, start: int, local: int, height: int, budget: int, miss_cost: int) -> BoxRun:
+        """The vectorized pass for a box that serves past ``_SCALAR_MAX``."""
+        stop = min(local + budget, self._n)
+        hit = (self._prev[local:stop] >= local) & (self._reuse[local:stop] < height)
         cum = np.cumsum(miss_cost - (miss_cost - 1) * hit)
         served = int(np.searchsorted(cum, budget, side="right"))
         hits = int(np.count_nonzero(hit[:served]))
         return BoxRun(
-            start=start + offset,
-            end=start + served + offset,
+            start=start,
+            end=start + served,
             hits=hits,
             faults=served - hits,
-            time_used=int(cum[served - 1]) if served else 0,
+            time_used=int(cum[served - 1]),
             budget=budget,
             height=height,
         )
@@ -282,10 +325,11 @@ class _KernelOps:
 class SequenceKernel(_KernelOps):
     """Per-sequence reuse-distance precompute for the fast box engine.
 
-    Construction computes ``prev_occ``/``reuse_dist`` once — a chunked
-    vectorized pass for typical lengths, an O(n log n) Fenwick sweep
-    beyond ``_VEC_BUILD_MAX``; every box probe afterwards is
-    O(min(budget, n - start)) vectorized work.  Instances
+    Construction computes ``prev_occ``/``reuse_dist`` once — compiled
+    on the native tier; on the numpy tier a chunked vectorized pass for
+    typical lengths and an O(n log n) Fenwick sweep beyond
+    ``_VEC_BUILD_MAX``; every box afterwards is one :meth:`box` walk
+    over them.  Instances
     are immutable in spirit — share them freely across boxes, heights,
     algorithms, and DP solves on the same sequence (see :func:`get_kernel`).
     """
@@ -294,6 +338,9 @@ class SequenceKernel(_KernelOps):
         "seq", "_prev", "_reuse", "_n", "_weak", "_plan_cache",
         "_prev_list", "_reuse_list", "_ops", "_hand",
     )
+
+    #: Sequence coordinates are the window's coordinates.
+    base = 0
 
     def __init__(self, seq: np.ndarray) -> None:
         arr = np.ascontiguousarray(seq, dtype=np.int64)
@@ -332,10 +379,7 @@ class SequenceKernel(_KernelOps):
             # Fenwick sweep for reuse_dist, in deletion form: position j
             # is marked once its page reoccurs, so the distinct count
             # between an occurrence pair is the gap length minus the
-            # marks inside it (cf. the most-recent-flag form in
-            # repro.paging.stack, which pays an extra O(log n) insert per
-            # request — including every cold one; this form does BIT work
-            # only on warm requests).
+            # marks inside it (BIT work only on warm requests).
             tree = [0] * (n + 1)
             reuse_l = [_COLD] * n
             for i, j in enumerate(prev.tolist()):
@@ -393,68 +437,9 @@ class SequenceKernel(_KernelOps):
         """Distinct pages since the previous occurrence (huge for cold)."""
         return self._reuse
 
-    def box(self, start: int, height: int, budget: int, miss_cost: int, offset: int = 0) -> BoxRun:
-        """:meth:`_KernelOps.box` with a scalar walk for short boxes.
-
-        The walk is the reference loop verbatim over the precomputed
-        hit predicate, so it is exact by construction; after
-        ``_SCALAR_MAX`` served requests with budget to spare it defers
-        to the vectorized pass (the walk so far is then sunk cost, but
-        boxes that large are exactly where vectorization wins).  On the
-        native tier the walk runs compiled instead, with no
-        length cutoff — the compiled loop is O(served) at C speed.
-        """
-        ops = self._ops
-        if ops is not None:
-            hand = self._hand
-            if hand is None:
-                hand = self._hand = ops.prepare(self._prev, self._reuse)
-            served, hits, t = ops.box_probe(
-                hand, self._n, start, height, budget, miss_cost
-            )
-            return BoxRun(
-                start=start + offset,
-                end=start + served + offset,
-                hits=hits,
-                faults=served - hits,
-                time_used=t,
-                budget=budget,
-                height=height,
-            )
-        pl = self._prev_list
-        if pl is None:
-            pl = self._prev.tolist()
-            rl = self._reuse.tolist()
-            self._prev_list = pl
-            self._reuse_list = rl
-        else:
-            rl = self._reuse_list
-        n = self._n
-        i = start
-        t = 0
-        hits = 0
-        cutoff = start + _SCALAR_MAX
-        while i < n:
-            c = 1 if (pl[i] >= start and rl[i] < height) else miss_cost
-            nt = t + c
-            if nt > budget:
-                break
-            t = nt
-            if c == 1:
-                hits += 1
-            i += 1
-            if i == cutoff and t < budget:
-                # still both budget and window left: go vectorized
-                return _KernelOps.box(self, start, height, budget, miss_cost, offset)
-        return BoxRun(
-            start=start + offset,
-            end=i + offset,
-            hits=hits,
-            faults=i - start - hits,
-            time_used=t,
-            budget=budget,
-            height=height,
-        )
+    # bound here as well as inherited: the benchmark's tracer wraps
+    # ``box`` where it finds it, in each class's own ``__dict__``
+    box = _KernelOps.box
 
     def ladder_plan(
         self,
@@ -464,42 +449,20 @@ class SequenceKernel(_KernelOps):
     ) -> "_LadderPlan":
         """Memoized :class:`_LadderPlan` for an ascending height ladder.
 
-        The offline DP probes one lattice thousands of times per solve;
-        everything that depends only on (sequence, ladder, miss_cost) —
-        warmth thresholds, cost prefixes, budget columns — is hoisted
-        here so each probe is pure sliced-array work.  On the native
-        tier the plan evaluates its blocks in the
-        compiled walk instead (same ``ends`` contract, same rows); the
-        memo key includes the backend so flipping ``$REPRO_KERNEL``
-        between probes never serves a plan built for the other tier.
+        The numpy tier's offline DP probes one lattice thousands of times
+        per solve; everything that depends only on (sequence, ladder,
+        miss_cost) — warmth thresholds, cost prefixes, budget columns —
+        is hoisted here so each probe is pure sliced-array work.  (On the
+        native tier the DP never asks: :func:`native_dp_solve` runs the
+        whole relaxation compiled.)  Pre-validated fast path: ``heights``
+        must be ascending with matching positive ``budgets`` and
+        ``miss_cost > 1``.
         """
-        ops = self._ops
-        key = (heights, budgets, miss_cost, ops is not None)
+        key = (heights, budgets, miss_cost)
         plan = self._plan_cache.get(key)
         if plan is None:
-            if ops is not None:
-                plan = _NativeLadderPlan(self, heights, budgets, miss_cost, ops)
-            else:
-                plan = _LadderPlan(self, heights, budgets, miss_cost)
-            self._plan_cache[key] = plan
+            plan = self._plan_cache[key] = _LadderPlan(self, heights, budgets, miss_cost)
         return plan
-
-    def box_ends(
-        self,
-        start: int,
-        heights: Tuple[int, ...],
-        budgets: Tuple[int, ...],
-        miss_cost: int,
-    ) -> List[int]:
-        """Box end positions from ``start`` for a whole ascending height
-        ladder at once — the offline DP's relaxation step.
-
-        One shared window pass replaces ``len(heights)`` independent
-        :meth:`box_end` probes (see :class:`_LadderPlan`).  Pre-validated
-        fast path: ``heights`` must be ascending with matching positive
-        ``budgets`` and ``miss_cost > 1``.
-        """
-        return list(self.ladder_plan(heights, budgets, miss_cost).ends(start))
 
 
 class _LadderPlan:
@@ -571,7 +534,7 @@ class _LadderPlan:
         """Box end positions from ``start``, one per ladder height.
 
         Returns a cached row of the current block — callers must treat
-        it as read-only (:meth:`SequenceKernel.box_ends` copies).
+        it as read-only.
         """
         if start >= self._n:
             return [start] * self._L
@@ -634,58 +597,6 @@ class _LadderPlan:
                 ends[:, : L - 1] = q0 + rows[:, np.newaxis] + served_low.T
         self._blk_q0 = q0
         self._blk = ends.tolist()
-
-
-class _NativeLadderPlan:
-    """Compiled twin of :class:`_LadderPlan` (same ``ends`` contract).
-
-    Shares the warmth-threshold reduction (``lev[i]`` = first ladder
-    index whose height exceeds ``reuse_dist[i]``) but evaluates each
-    blocked batch of starts with the compiled O(served) walk instead of
-    windowed numpy passes.  Rows are bit-identical: both formulations
-    serve a request iff ``prev_occ[i] >= start`` and ``lev[i] <= level``
-    under the same budget arithmetic.
-    """
-
-    __slots__ = ("_ops", "_n", "_s", "_L", "_prev", "_lev", "_budgets", "_blk_q0", "_blk")
-
-    def __init__(
-        self,
-        kernel: SequenceKernel,
-        heights: Tuple[int, ...],
-        budgets: Tuple[int, ...],
-        miss_cost: int,
-        ops,
-    ) -> None:
-        harr = np.asarray(heights, dtype=np.int64)
-        self._ops = ops
-        self._n = kernel._n
-        self._s = int(miss_cost)
-        self._L = len(heights)
-        self._prev = kernel._prev
-        self._lev = np.ascontiguousarray(
-            np.searchsorted(harr, kernel._reuse, side="right"), dtype=np.int64
-        )
-        self._budgets = np.ascontiguousarray(budgets, dtype=np.int64)
-        self._blk_q0 = -1
-        self._blk: List[List[int]] = []
-
-    def ends(self, start: int) -> List[int]:
-        """Box end positions from ``start``, one per ladder height
-        (cached block row — read-only, like :meth:`_LadderPlan.ends`)."""
-        if start >= self._n:
-            return [start] * self._L
-        q0 = self._blk_q0
-        if q0 < 0 or not q0 <= start < q0 + len(self._blk):
-            q0 = start - start % _PLAN_BLOCK
-            B = min(_PLAN_BLOCK, self._n - q0)
-            out = np.empty(B * self._L, dtype=np.int64)
-            self._ops.ladder_block(
-                self._prev, self._lev, self._n, self._budgets, self._s, q0, B, out
-            )
-            self._blk_q0 = q0
-            self._blk = out.reshape(B, self._L).tolist()
-        return self._blk[start - self._blk_q0]
 
 
 def native_dp_solve(
@@ -757,11 +668,7 @@ class StreamKernel(_KernelOps):
         "_prev_list", "_reuse_list", "_ops", "_hand",
     )
 
-    def __init__(self, capacity: int = 1024) -> None:
-        # ``capacity`` is a historical hint: arrays are rebuilt per
-        # append, so no preallocation is needed; accepted for API
-        # stability.
-        del capacity
+    def __init__(self) -> None:
         self._window = np.empty(0, dtype=np.int64)
         self._prev = np.empty(0, dtype=np.int64)
         self._reuse = np.empty(0, dtype=np.int64)
@@ -823,78 +730,8 @@ class StreamKernel(_KernelOps):
             self._prev_list.extend(prev[old:].tolist())
             self._reuse_list.extend(reuse[old:].tolist())
 
-    def box_end(self, start: int, height: int, budget: int, miss_cost: int) -> int:
-        """Global-coordinate :meth:`_KernelOps.box_end` over the live window."""
-        local = start - self.base
-        if local < 0:
-            raise ValueError(f"box start {start} precedes retained window base {self.base}")
-        return _KernelOps.box_end(self, local, height, budget, miss_cost) + self.base
-
-    def box(self, start: int, height: int, budget: int, miss_cost: int, offset: int = 0) -> BoxRun:
-        """Global-coordinate box evaluation over the live window.
-
-        Mirrors :meth:`SequenceKernel.box`: compiled walk on the native
-        tier, else a scalar list walk for short boxes
-        (streamed box algorithms serve a handful of requests per box,
-        where ~10 numpy dispatches plus an O(window) cumsum dominated
-        the event backend), deferring to the vectorized pass after
-        ``_SCALAR_MAX`` served requests with budget to spare.
-        """
-        local = start - self.base
-        if local < 0:
-            raise ValueError(f"box start {start} precedes retained window base {self.base}")
-        ops = self._ops
-        if ops is not None:
-            hand = self._hand
-            if hand is None:
-                hand = self._hand = ops.prepare(self._prev, self._reuse)
-            served, hits, t = ops.box_probe(
-                hand, self._n, local, height, budget, miss_cost
-            )
-            glob = start + offset
-            return BoxRun(
-                start=glob,
-                end=glob + served,
-                hits=hits,
-                faults=served - hits,
-                time_used=t,
-                budget=budget,
-                height=height,
-            )
-        pl = self._prev_list
-        if pl is None:
-            pl = self._prev.tolist()
-            rl = self._reuse.tolist()
-            self._prev_list = pl
-            self._reuse_list = rl
-        else:
-            rl = self._reuse_list
-        n = self._n
-        i = local
-        t = 0
-        hits = 0
-        cutoff = local + _SCALAR_MAX
-        while i < n:
-            c = 1 if (pl[i] >= local and rl[i] < height) else miss_cost
-            nt = t + c
-            if nt > budget:
-                break
-            t = nt
-            if c == 1:
-                hits += 1
-            i += 1
-            if i == cutoff and t < budget:
-                return _KernelOps.box(self, local, height, budget, miss_cost, offset + self.base)
-        glob = start + offset
-        return BoxRun(
-            start=glob,
-            end=glob + (i - local),
-            hits=hits,
-            faults=i - local - hits,
-            time_used=t,
-            budget=budget,
-            height=height,
-        )
+    # bound here as well as inherited, like ``SequenceKernel.box``
+    box = _KernelOps.box
 
     def compact(self, upto: int) -> None:
         """Forget everything before global position ``upto``.
@@ -929,12 +766,15 @@ def run_box_fast(
     budget: int,
     miss_cost: int,
 ) -> BoxRun:
-    """Vectorized :func:`repro.paging.engine.run_box` over a kernel.
+    """:func:`repro.paging.engine.run_box` over a kernel.
 
-    Same contract, same validation, bit-identical :class:`BoxRun` —
-    ``start`` is in the kernel's local coordinates (identical to sequence
-    coordinates for a :class:`SequenceKernel`).
+    Same contract, same validation, bit-identical :class:`BoxRun`.
+    ``start`` is a global position: a sequence position for a
+    :class:`SequenceKernel`, a stream position at or after
+    :attr:`StreamKernel.base` for a :class:`StreamKernel`.
     """
+    if start < 0:
+        raise ValueError(f"box start must be >= 0, got {start}")
     if height < 1:
         raise ValueError(f"box height must be >= 1, got {height}")
     if miss_cost <= 1:

@@ -9,11 +9,13 @@ referenced since the previous request to the same page (inclusive of the
 page itself), and a request hits in a cache of size c iff its stack
 distance is <= c.
 
-We use the classical Fenwick-tree (binary indexed tree) formulation:
-maintain a 0/1 array over request positions where position j holds 1 iff j
-is the *most recent* access to its page; the stack distance of a request at
-position i to a page last accessed at position j is 1 + (number of ones in
-(j, i)).  Each request does O(log n) work.
+The stack distance of a warm request is its reuse distance plus one, so
+:func:`stack_distances` reads it off the box kernel's
+:class:`~repro.paging.kernel.SequenceKernel`: one reuse-distance sweep
+serves the box engine and these curves alike, compiled on the native
+kernel tier and numpy (vectorized, or a Fenwick sweep on long sequences)
+on the fallback.  :class:`Fenwick` stays public for the streaming
+:class:`~repro.workloads.stats.ReuseDistanceTracker`.
 
 These curves power workload characterization in the examples, the
 marginal-benefit discussion of the paper's introduction (non-monotonic
@@ -27,6 +29,8 @@ from dataclasses import dataclass
 from typing import Dict, Sequence
 
 import numpy as np
+
+from .kernel import SequenceKernel
 
 __all__ = ["Fenwick", "stack_distances", "MissRatioCurve", "miss_ratio_curve", "lru_faults_all_sizes"]
 
@@ -77,25 +81,11 @@ def stack_distances(requests: Sequence[int]) -> np.ndarray:
     0 as "infinite distance"; 0 is unambiguous because true distances are
     always >= 1).
 
-    O(n log n) time, O(n + #pages) space.
+    O(n log n) time, O(n) space.  The kernel is built afresh, not taken
+    from the kernel cache, so profiling a sequence pins no memory.
     """
-    reqs = np.asarray(requests, dtype=np.int64)
-    n = len(reqs)
-    out = np.zeros(n, dtype=np.int64)
-    tree = Fenwick(n)
-    last: Dict[int, int] = {}
-    for i in range(n):
-        page = int(reqs[i])
-        j = last.get(page)
-        if j is None:
-            out[i] = 0  # cold
-        else:
-            # distinct pages touched strictly between j and i, plus the page itself
-            out[i] = tree.range_sum(j + 1, i - 1) + 1
-            tree.add(j, -1)
-        tree.add(i, 1)
-        last[page] = i
-    return out
+    kern = SequenceKernel(np.asarray(requests, dtype=np.int64))
+    return np.where(kern.prev_occ >= 0, kern.reuse_dist, -1) + 1
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,9 @@ loop runs compiled on the native kernel tier, in python otherwise (see
 :mod:`repro.parallel.timestep`).  The retained
 per-timestep loops stay available as the reference oracle behind the
 ``$REPRO_SIM`` switch (:func:`sim_backend`), mirroring the ``run_box`` /
-``run_box_fast`` pattern of :mod:`repro.paging.kernel`.
+``run_box_fast`` pattern of :mod:`repro.paging.kernel`.  The switch has
+two values and no per-cell heuristic: the event loop is the default on
+every cell.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ import numpy as np
 __all__ = [
     "SIM_ENV",
     "sim_backend",
-    "resolve_sim_backend",
     "EventScheduler",
     "BoxRecord",
     "ParallelRunResult",
@@ -50,79 +51,21 @@ SIM_ENV = "REPRO_SIM"
 
 
 def sim_backend() -> str:
-    """The active parallel-simulator backend: ``"event"`` (default),
-    ``"reference"``, or ``"auto"``.
+    """The active parallel-simulator backend: ``"event"`` (default) or
+    ``"reference"``.
 
-    Controlled by ``$REPRO_SIM``.  The event and reference backends
-    produce byte-identical results (completion times, traces, ``sim.*``
+    Controlled by ``$REPRO_SIM``.  The two backends produce
+    byte-identical results (completion times, traces, ``sim.*``
     counters) — the reference per-timestep / per-request loops exist as a
     cross-check oracle for the differential harness and as an escape
-    hatch, exactly like ``$REPRO_KERNEL`` for the box kernel.  ``auto``
-    defers the choice to each simulator cell via
-    :func:`resolve_sim_backend`, which logs its pick in ``sim.*``
-    metrics.
+    hatch, exactly like ``$REPRO_KERNEL`` for the box kernel.
     """
     value = os.environ.get(SIM_ENV, "event").strip().lower() or "event"
     if value in ("event", "fast"):
         return "event"
     if value in ("reference", "ref", "timestep"):
         return "reference"
-    if value == "auto":
-        return "auto"
-    raise ValueError(
-        f"unknown {SIM_ENV} backend {value!r}; expected 'event', 'reference', or 'auto'"
-    )
-
-
-def resolve_sim_backend(
-    cell: str,
-    *,
-    streaming: bool = False,
-    p: int = 1,
-    lengths: Optional[Sequence[int]] = None,
-) -> str:
-    """Resolve ``sim_backend()`` to a concrete backend for one simulator cell.
-
-    Under ``REPRO_SIM=auto`` this applies a per-cell heuristic; any other
-    setting passes straight through.  The heuristic encodes what the
-    stream benchmark measures: the event backend wins whenever box probes
-    are vectorized cheaply (the native kernel tier, or non-streamed runs
-    where :class:`~repro.paging.kernel.SequenceKernel` probes amortize),
-    and loses only on streamed per-chunk serving with the numpy-only
-    kernel on heavily imbalanced feeds, where per-box overhead on
-    mostly-tiny boxes dominates.  Every resolution is recorded under the
-    ``sim.backend.auto`` counter with the cell name, the chosen backend,
-    and the deciding reason, so benchmark rows can assert which simulator
-    actually ran.
-    """
-    mode = sim_backend()
-    if mode != "auto":
-        return mode
-    from ..obs import metrics as obs_metrics
-    from ..paging.kernel import kernel_backend
-
-    if kernel_backend() == "reference":
-        choice, reason = "reference", "kernel-reference"
-    elif not streaming:
-        choice, reason = "event", "batch"
-    elif kernel_backend() == "native":
-        choice, reason = "event", "native-kernel"
-    else:
-        # streamed serving on the numpy kernel: tiny-box overhead is the
-        # risk, and it grows with feed imbalance (many processors slaved
-        # to one long feed => many short boxes per long-feed chunk)
-        imbalance = 1.0
-        if lengths:
-            sizes = [max(0, int(x)) for x in lengths]
-            mean = sum(sizes) / len(sizes)
-            if mean > 0:
-                imbalance = max(sizes) / mean
-        if p > 1 and imbalance > 4.0:
-            choice, reason = "reference", "streamed-imbalanced"
-        else:
-            choice, reason = "event", "streamed-balanced"
-    obs_metrics.counter("sim.backend.auto", cell=cell, choice=choice, reason=reason).inc()
-    return choice
+    raise ValueError(f"unknown {SIM_ENV} backend {value!r}; expected 'event' or 'reference'")
 
 
 class EventScheduler:

@@ -26,7 +26,11 @@ in-memory / memmap     cached ``SequenceKernel``  per-request ``run_box``
 =====================  ========================  ===========================
 
 All four cells produce bit-identical :class:`~repro.paging.engine.BoxRun`
-values — the differential test harness holds the matrix together.
+values — the differential test harness holds the matrix together.  The
+backend is read once per server; no per-cell heuristic overrides it.
+Both kernel cells run the same box walk: a ``StreamKernel`` differs from
+a ``SequenceKernel`` only in its window base, so it takes global stream
+positions.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from ..paging.engine import BoxRun, run_box
 from ..paging.kernel import StreamKernel, maybe_kernel, run_box_fast
 from ..traces.store import TraceStore
 from ..workloads.trace import ParallelWorkload
-from .events import resolve_sim_backend
+from .events import sim_backend
 
 #: Rows per list :func:`request_feed` cuts from an in-memory column.
 _FEED_ROWS = 4096
@@ -214,15 +218,9 @@ class BoxServer:
         self.miss_cost = int(miss_cost)
         self.streaming = isinstance(workload, StreamingWorkload)
         self.p = int(workload.p)
+        self.backend = sim_backend()
         if self.streaming:
-            lengths: Tuple[int, ...] = tuple(workload.lengths)
-        else:
-            lengths = tuple(len(sq) for sq in workload.sequences)
-        self.backend = resolve_sim_backend(
-            "box-server", streaming=self.streaming, p=self.p, lengths=lengths
-        )
-        if self.streaming:
-            self.lengths = lengths
+            self.lengths: Tuple[int, ...] = tuple(workload.lengths)
             self.digest: Optional[str] = workload.content_digest
             if self.backend == "event":
                 self._feeds = [
@@ -236,7 +234,7 @@ class BoxServer:
                 self._seqs = [workload.column(i) for i in range(self.p)]
         else:
             seqs = workload.sequences
-            self.lengths = lengths
+            self.lengths = tuple(len(sq) for sq in seqs)
             self.digest = getattr(workload, "content_digest", None)
             self._seqs = seqs
             self._feeds = None

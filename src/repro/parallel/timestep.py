@@ -21,8 +21,9 @@ picks the event loop's implementation, as it does for the box kernels:
   processor that still holds the earliest completion keeps serving
   without touching the heap.  Columns go in whole, or one store chunk
   at a time for a :class:`~repro.parallel.streaming.StreamingWorkload`.
-* python event (``REPRO_NATIVE=off``, ``REPRO_KERNEL=fast|reference``,
-  or keys too wide for int64) — the same loop over :class:`LRUCache`.
+* python event (``REPRO_KERNEL=fast|reference``, a host where the
+  compiled library cannot be built, or keys too wide for int64) — the
+  same loop over :class:`LRUCache`.
 * reference (``REPRO_SIM=reference``) — the retained per-timestep
   full-rescan loop (O(p) per event instant), the historical oracle.  It
   serves same-time processors in ascending index too, so all three loops
@@ -48,7 +49,7 @@ from ..obs import metrics as obs_metrics
 from ..paging.kernel import _active_native
 from ..paging.lru import LRUCache
 from ..workloads.trace import ParallelWorkload
-from .events import ParallelRunResult, resolve_sim_backend
+from .events import ParallelRunResult, sim_backend
 from .streaming import StreamingWorkload, request_feed
 
 __all__ = ["GlobalLRU"]
@@ -87,7 +88,7 @@ class GlobalLRU:
         p = workload.p
         n = [int(x) for x in workload.lengths]
         completion = np.zeros(p, dtype=np.int64)
-        backend = resolve_sim_backend("global-lru", p=p, lengths=n)
+        backend = sim_backend()
         ops = _active_native() if backend == "event" else None
         # the packed keys must fit the C loop's int64; python ints cannot overflow
         if ops is not None and (self.miss_cost * sum(n) + 1) << p.bit_length() < 1 << 63:

@@ -131,9 +131,9 @@ def characterize(requests: Sequence[int], window: int = 256) -> SequenceStats:
 class ReuseDistanceTracker:
     """Streaming LRU stack distances in ``O(distinct pages)`` memory.
 
-    :func:`~repro.paging.stack.stack_distances` keeps a Fenwick tree over
-    *all* request positions — ``O(n)`` memory, fine in RAM, fatal for a
-    trace that doesn't fit.  This tracker maintains the same counts over a
+    :func:`~repro.paging.stack.stack_distances` sweeps arrays over *all*
+    request positions — ``O(n)`` memory, fine in RAM, fatal for a trace
+    that doesn't fit.  This tracker maintains the same counts over a
     Fenwick of *active* slots only (one per currently-tracked page),
     compacting the slot domain whenever appends outrun it.  Distances land
     in a histogram (distances are bounded by the distinct-page count), so

@@ -4,8 +4,8 @@ The contract: pool workers receive *handles* — a ``.trc`` path for
 spilled workloads, :class:`ShmArray` names for shared request arrays —
 never the arrays themselves, so the pickled payload stays bounded (and
 per-worker RSS flat) as traces grow.  Rebuilt parameters must produce
-byte-identical outcomes, the thresholds must be env-tunable, and the
-manager must release every segment and spill file on close.
+byte-identical outcomes, and the manager must release every segment and
+spill file on close.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ import pytest
 from repro.exec import ExecutionEngine, WorkUnit, execute_unit
 from repro.exec.handoff import (
     DEFAULT_SHM_ROWS,
-    SHM_ROWS_ENV,
-    SPILL_ROWS_ENV,
     HandoffManager,
     PreparedTask,
     ShmArray,
@@ -90,13 +88,6 @@ class TestPrepare:
                 b = m.prepare(green_unit(seq=seq))
                 assert a.params["seq"] == b.params["seq"]
         assert reg.snapshot()["counters"]["exec.handoff.shm_segments"] == 1
-
-    def test_zero_threshold_disables_sharing(self, monkeypatch):
-        monkeypatch.setenv(SHM_ROWS_ENV, "0")
-        monkeypatch.setenv(SPILL_ROWS_ENV, "0")
-        unit = green_unit(seq=cyclic(1 << 16, 9))
-        with HandoffManager() as m:
-            assert m.prepare(unit) is unit
 
 
 class TestExecutePrepared:

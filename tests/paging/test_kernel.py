@@ -130,20 +130,18 @@ def test_ladder_ends_match_reference_including_block_recompute():
     kern = SequenceKernel(arr)
     starts = list(range(0, len(arr) + 1))
     rng.shuffle(starts)  # non-ascending starts force block recomputes
+    plan = kern.ladder_plan(heights, budgets, s)
     for q in starts:
-        got = kern.box_ends(q, heights, budgets, s)
+        got = plan.ends(q)
         want = [run_box(arr, q, h, s * h, s).end for h in heights]
         assert got == want, q
 
 
-def test_ladder_plan_is_memoized_and_rows_are_copies():
+def test_ladder_plan_is_memoized():
     arr = np.arange(64, dtype=np.int64) % 8
     kern = SequenceKernel(arr)
     plan = kern.ladder_plan((2, 4), (6, 12), 3)
     assert kern.ladder_plan((2, 4), (6, 12), 3) is plan
-    ends = kern.box_ends(0, (2, 4), (6, 12), 3)
-    ends[0] = -999  # mutating the returned list must not poison the plan
-    assert kern.box_ends(0, (2, 4), (6, 12), 3)[0] != -999
 
 
 # --------------------------------------------------------------------- #
@@ -154,7 +152,7 @@ def test_ladder_plan_is_memoized_and_rows_are_copies():
 def test_stream_kernel_matches_sequence_kernel_across_chunks():
     rng = np.random.default_rng(3)
     arr = rng.integers(0, 10, size=300)
-    stream = StreamKernel(capacity=16)  # forces growth
+    stream = StreamKernel()
     for lo in range(0, len(arr), 37):
         stream.append(arr[lo : lo + 37])
     for start in (0, 1, 50, 299, 300):
@@ -165,7 +163,7 @@ def test_stream_kernel_matches_sequence_kernel_across_chunks():
 def test_stream_kernel_compact_preserves_suffix_boxes():
     rng = np.random.default_rng(9)
     arr = rng.integers(0, 6, size=200)
-    stream = StreamKernel(capacity=16)
+    stream = StreamKernel()
     stream.append(arr)
     stream.compact(80)
     assert stream.base == 80
@@ -188,13 +186,16 @@ def test_run_box_fast_validates_like_reference():
     with pytest.raises(ValueError, match="miss_cost must be > 1"):
         run_box_fast(kern, 0, 2, 10, 1)
     # identical messages to the reference engine
-    for kwargs in ({"height": 0}, {"miss_cost": 1}):
+    for kwargs in ({"height": 0}, {"miss_cost": 1}, {"start": -1}):
         call = {"start": 0, "height": 2, "budget": 10, "miss_cost": 4, **kwargs}
         with pytest.raises(ValueError) as fast_err:
             run_box_fast(kern, **call)
         with pytest.raises(ValueError) as ref_err:
             run_box(arr, **call)
         assert str(fast_err.value) == str(ref_err.value)
+    # a direct call skips run_box_fast's checks but not the window base
+    with pytest.raises(ValueError, match="precedes retained window"):
+        kern.box(-1, 2, 10, 4)
 
 
 @pytest.mark.parametrize("backend", ["fast", "reference"])

@@ -4,13 +4,13 @@ The native tier (the default: a cc-compiled shared library, else a
 fallback to the numpy fast path) re-implements the three inner loops of
 the paging kernel: the reuse-distance sweep, the per-box service walk,
 and the offline green DP.  Its only contract is *exactness*: every
-observable — box endpoints, hit/fault splits, ladder plans, DP distances
-and parents — must equal the numpy fast path and the dict-LRU reference
-bit for bit.  These tests pin that three-way equivalence property-style
-(random boxes, ladders via the offline DP on non-power-of-two lattices,
-streamed chunk appends with compaction) plus the operational surface:
-backend selection, the ``$REPRO_NATIVE`` flavor pin, the no-compiler
-fallback, and the checks on the shared build cache.
+observable — box endpoints, hit/fault splits, DP distances and parents —
+must equal the numpy fast path and the dict-LRU reference bit for bit.
+These tests pin that three-way equivalence property-style (random boxes,
+the offline DP on non-power-of-two lattices, streamed chunk appends with
+compaction) plus the operational surface: backend selection, the
+no-compiler fallback (a failed build), and the checks on the shared
+build cache.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from repro.core.box import HeightLattice
 from repro.green.offline import optimal_box_profile
 import repro.paging._native as native_mod
-from repro.paging._native import NATIVE_CACHE_ENV, NATIVE_ENV, clear_native_cache, native_ops
+from repro.paging._native import NATIVE_CACHE_ENV, clear_native_cache, native_ops
 from repro.paging.engine import run_box
 from repro.paging.kernel import (
     KERNEL_ENV,
@@ -43,39 +43,41 @@ from repro.paging.kernel import (
 HAVE_NATIVE = native_flavor() is not None
 
 requires_native = pytest.mark.skipif(
-    not HAVE_NATIVE, reason="compiled tier unavailable (no C compiler, or REPRO_NATIVE=off)"
+    not HAVE_NATIVE, reason="compiled tier unavailable (no C compiler)"
 )
 
 
 @contextmanager
-def backend(value: str, native: str | None = None):
-    """Temporarily pin ``$REPRO_KERNEL`` (and optionally ``$REPRO_NATIVE``).
+def backend(value: str):
+    """Temporarily pin ``$REPRO_KERNEL``.
 
     A context manager instead of monkeypatch so hypothesis-driven tests
     can flip backends per example; kernels capture their backend at
     construction, so the cache is cleared on entry and exit.
     """
-    saved = {k: os.environ.get(k) for k in (KERNEL_ENV, NATIVE_ENV)}
+    saved = os.environ.get(KERNEL_ENV)
     os.environ[KERNEL_ENV] = value
-    if native is not None:
-        os.environ[NATIVE_ENV] = native
-        clear_native_cache()
     clear_kernel_cache()
     try:
         yield
     finally:
-        for k, v in saved.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
-        if native is not None:
-            clear_native_cache()
+        if saved is None:
+            os.environ.pop(KERNEL_ENV, None)
+        else:
+            os.environ[KERNEL_ENV] = saved
         clear_kernel_cache()
 
 
+def _without_compiler(monkeypatch, tmp_path):
+    """Simulate a host with no C compiler: the build command fails and an
+    empty cache holds no library to load."""
+    monkeypatch.setenv("CC", "false")
+    monkeypatch.setenv(NATIVE_CACHE_ENV, str(tmp_path / "empty-cache"))
+    clear_native_cache()
+
+
 # --------------------------------------------------------------------- #
-# backend selection and flavor pinning
+# backend selection and the no-compiler fallback
 # --------------------------------------------------------------------- #
 
 
@@ -88,55 +90,23 @@ class TestBackendSelection:
         with backend("compiled"):
             assert kernel_backend() == ("native" if HAVE_NATIVE else "fast")
 
-    def test_native_off_forces_fallback_to_fast(self):
-        with backend("native", native="off"):
-            assert native_flavor() is None
-            assert kernel_backend() == "fast"
-
     def test_invalid_backend_rejected(self):
         with backend("turbo"):
             with pytest.raises(ValueError, match="REPRO_KERNEL"):
                 kernel_backend()
 
-    def test_invalid_flavor_pin_rejected(self):
-        saved = os.environ.get(NATIVE_ENV)
-        os.environ[NATIVE_ENV] = "gpu"
-        clear_native_cache()
-        try:
-            with pytest.raises(ValueError, match="REPRO_NATIVE"):
-                native_ops()
-        finally:
-            if saved is None:
-                os.environ.pop(NATIVE_ENV, None)
-            else:
-                os.environ[NATIVE_ENV] = saved
-            clear_native_cache()
-
-    def test_numba_flavor_is_gone(self, monkeypatch):
-        monkeypatch.setenv(NATIVE_ENV, "numba")
-        clear_native_cache()
-        try:
-            with pytest.raises(ValueError, match="expected 'auto', 'cc', or 'off'"):
-                native_ops()
-        finally:
-            clear_native_cache()
-
-    @requires_native
-    def test_flavor_pin_is_honored(self):
-        with backend("native", native="cc"):
-            assert native_flavor() == "cc"
-
     @pytest.mark.parametrize(
-        "kernel, flavor",
-        [(None, None), ("fast", None), ("native", None), ("reference", None), (None, "off")],
+        "kernel, compiler",
+        [(None, None), ("fast", None), ("native", None), ("reference", None), (None, "false")],
     )
-    def test_reported_tier_is_the_built_tier(self, monkeypatch, kernel, flavor):
+    def test_reported_tier_is_the_built_tier(self, monkeypatch, tmp_path, kernel, compiler):
         """``kernel_backend()`` and kernel construction read one default."""
-        for name, value in ((KERNEL_ENV, kernel), (NATIVE_ENV, flavor)):
-            if value is None:
-                monkeypatch.delenv(name, raising=False)
-            else:
-                monkeypatch.setenv(name, value)
+        if kernel is None:
+            monkeypatch.delenv(KERNEL_ENV, raising=False)
+        else:
+            monkeypatch.setenv(KERNEL_ENV, kernel)
+        if compiler is not None:
+            _without_compiler(monkeypatch, tmp_path)
         clear_native_cache()
         clear_kernel_cache()
         try:
@@ -148,10 +118,10 @@ class TestBackendSelection:
                 assert built == {False}
             else:
                 assert built == {reported == "native"}
-            if kernel is None and flavor is None:
+            if kernel is None and compiler is None:
                 # unset: compiled whenever the library builds here
                 assert reported == ("native" if native_ops() is not None else "fast")
-            if flavor == "off":
+            if compiler is not None:
                 assert reported == "fast"
         finally:
             clear_native_cache()
@@ -166,13 +136,30 @@ class TestBackendSelection:
             kern = SequenceKernel(np.arange(8, dtype=np.int64))
             assert kern._ops is None
 
-    def test_off_kernel_still_correct(self):
+    def test_native_off_forces_fallback_to_fast(self, monkeypatch, tmp_path):
+        # the native tier is off when the library does not build: the
+        # failed-compile branch of the build yields no library and no error
+        _without_compiler(monkeypatch, tmp_path)
+        try:
+            with backend("native"):
+                assert native_flavor() is None
+                assert kernel_backend() == "fast"
+                assert SequenceKernel(np.arange(8, dtype=np.int64))._ops is None
+        finally:
+            clear_native_cache()
+
+    def test_off_kernel_still_correct(self, monkeypatch, tmp_path):
         # fallback is not just "doesn't crash": it is the numpy fast path
         arr = np.asarray([0, 1, 2, 0, 1, 3] * 10, dtype=np.int64)
-        with backend("native", native="off"):
-            kern = SequenceKernel(arr)
-            got = run_box_fast(kern, 0, 3, 40, 5)
-        assert got == run_box(arr, 0, 3, 40, 5)
+        _without_compiler(monkeypatch, tmp_path)
+        try:
+            with backend("native"):
+                kern = SequenceKernel(arr)
+                assert kern._ops is None
+                got = run_box_fast(kern, 0, 3, 40, 5)
+            assert got == run_box(arr, 0, 3, 40, 5)
+        finally:
+            clear_native_cache()
 
 
 # --------------------------------------------------------------------- #
@@ -198,7 +185,6 @@ class TestBuildCache:
             return real(path, *args, **kwargs)
 
         monkeypatch.setattr(native_mod.ctypes, "CDLL", spy)
-        monkeypatch.setenv(NATIVE_ENV, "cc")
 
         def run(cache_dir):
             monkeypatch.setenv(NATIVE_CACHE_ENV, str(cache_dir))
@@ -370,11 +356,11 @@ def test_native_stream_kernel_identical_across_chunked_appends(
 )
 @settings(max_examples=60, deadline=None)
 def test_native_offline_dp_three_way_identical(seed, k, p_frac, s, n):
-    """The whole DP pipeline — ladder plans included — is bit-identical.
+    """The whole DP pipeline is bit-identical: the compiled relaxation,
+    the numpy tier's ladder plans and the reference probes.
 
-    ``optimal_box_profile`` exercises every native primitive at once
-    (reuse sweep, ladder/block probes, DP relaxation); k and p are *not*
-    restricted to powers of two.
+    ``optimal_box_profile`` exercises the native reuse sweep and DP
+    relaxation at once; k and p are *not* restricted to powers of two.
     """
     p = 1 + int(p_frac * (k - 1))  # any 1 <= p <= k, non-power-of-two included
     lattice = HeightLattice(k, p)

@@ -2,12 +2,41 @@
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.paging.kernel as kernel_mod
 from repro.paging import Fenwick, LRUCache, lru_faults_all_sizes, miss_ratio_curve, stack_distances
+from repro.paging.kernel import KERNEL_ENV, native_flavor
+
+#: Every reuse-distance sweep ``stack_distances`` can take: the compiled
+#: one (where the cc tier builds), the numpy vectorized build, and the
+#: python Fenwick sweep the numpy tier uses past ``_VEC_BUILD_MAX``.
+SWEEPS = (("compiled",) if native_flavor() is not None else ()) + ("vectorized", "fenwick")
+
+
+@contextmanager
+def sweep(name):
+    """Route ``stack_distances`` through one sweep (a context manager, not
+    monkeypatch, so hypothesis examples can switch per call)."""
+    saved_env = os.environ.get(KERNEL_ENV)
+    saved_max = kernel_mod._VEC_BUILD_MAX
+    os.environ[KERNEL_ENV] = "native" if name == "compiled" else "fast"
+    if name == "fenwick":
+        kernel_mod._VEC_BUILD_MAX = 0
+    try:
+        yield
+    finally:
+        kernel_mod._VEC_BUILD_MAX = saved_max
+        if saved_env is None:
+            os.environ.pop(KERNEL_ENV, None)
+        else:
+            os.environ[KERNEL_ENV] = saved_env
 
 
 class TestFenwick:
@@ -71,7 +100,10 @@ class TestStackDistances:
     @given(st.lists(st.integers(min_value=0, max_value=9), max_size=150))
     @settings(max_examples=150)
     def test_matches_naive(self, seq):
-        assert stack_distances(seq).tolist() == self._naive(seq)
+        want = self._naive(seq)
+        for name in SWEEPS:
+            with sweep(name):
+                assert stack_distances(seq).tolist() == want, name
 
 
 class TestMissRatioCurve:

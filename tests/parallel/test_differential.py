@@ -122,9 +122,11 @@ class TestBackendSwitch:
         assert sim_backend() == expect
 
     def test_invalid_rejected(self, monkeypatch):
-        monkeypatch.setenv(SIM_ENV, "warp-drive")
-        with pytest.raises(ValueError, match="REPRO_SIM"):
-            sim_backend()
+        # "auto" once named a per-cell heuristic; the switch has two values
+        for value in ("warp-drive", "auto"):
+            monkeypatch.setenv(SIM_ENV, value)
+            with pytest.raises(ValueError, match="REPRO_SIM"):
+                sim_backend()
 
 
 class TestEventEqualsReference:

@@ -27,16 +27,17 @@ HAVE_NATIVE = native_flavor() is not None
 #: GlobalLRU's loops; the compiled one runs only where the cc tier builds.
 LOOPS = ("compiled", "event", "reference") if HAVE_NATIVE else ("event", "reference")
 requires_native = pytest.mark.skipif(
-    not HAVE_NATIVE, reason="compiled tier unavailable (no C compiler, or REPRO_NATIVE=off)"
+    not HAVE_NATIVE, reason="compiled tier unavailable (no C compiler)"
 )
 
 
 def _pin_loop(mp, loop):
     """Select one of GlobalLRU's loops through the program's own switches."""
-    mp.delenv("REPRO_KERNEL", raising=False)
     mp.setenv("REPRO_SIM", "reference" if loop == "reference" else "event")
     if loop == "event":
-        mp.setenv("REPRO_NATIVE", "off")
+        mp.setenv("REPRO_KERNEL", "fast")
+    else:
+        mp.delenv("REPRO_KERNEL", raising=False)
 
 
 def wl(*seqs, allow_shared=False):
@@ -370,7 +371,7 @@ def test_numpy_fallback_runs_the_python_loop(monkeypatch):
     calls = []
     touch = LRUCache.touch
     monkeypatch.setattr(LRUCache, "touch", lambda self, page: calls.append(page) or touch(self, page))
-    monkeypatch.setenv("REPRO_NATIVE", "off")
+    monkeypatch.setenv("REPRO_KERNEL", "fast")
     monkeypatch.delenv("REPRO_SIM", raising=False)
     GlobalLRU(cache_size=2, miss_cost=3).run(wl([1, 2, 3, 1], [2, 9, 9], allow_shared=True))
     assert sorted(calls) == [1, 1, 2, 2, 3, 9, 9]

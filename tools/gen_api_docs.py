@@ -190,9 +190,13 @@ the compiled `native` tier below is the default:
   `reuse_dist[i] < height`, so `run_box_fast(kernel, start, height,
   budget, miss_cost)` evaluates a whole box with a handful of array
   ops (short boxes take a scalar walk — RAND-GREEN draws mostly tiny
-  boxes).  `box_ends` / `ladder_plan` batch the offline DP's probes:
-  one blocked windowed pass yields every lattice height's endpoint for
-  32 consecutive starts at once.
+  boxes).  `SequenceKernel` and `StreamKernel` share that one walk and
+  differ only in the window base.  On the numpy tier `ladder_plan`
+  batches the offline DP's probes: one blocked windowed pass yields
+  every lattice height's endpoint for 32 consecutive starts at once.
+  `repro.paging.stack.stack_distances` reads its distances off the
+  same precompute, so the kernel's sweep is the package's only
+  reuse-distance sweep.
 - **Shared and bounded.** `get_kernel(seq)` / `maybe_kernel(seq)`
   serve kernels from an LRU-bounded cache keyed on array identity
   (weakref-guarded) or an explicit key (trace `content_digest` +
@@ -209,8 +213,8 @@ the compiled `native` tier below is the default:
 ## Native kernel
 
 The `native` kernel tier compiles four inner loops — the
-reuse-distance sweep, the per-box service walk, the blocked ladder/DP
-probe, and GLOBAL-LRU's shared-cache event loop — to machine code,
+reuse-distance sweep, the per-box service walk, the offline DP
+relaxation, and GLOBAL-LRU's shared-cache event loop — to machine code,
 keeping the numpy fast path (for GLOBAL-LRU, the python event loop) and
 the dict-LRU reference as bit-identical oracles below it:
 
@@ -219,10 +223,9 @@ the dict-LRU reference as bit-identical oracles below it:
   `repro.paging._native` can build its small C shared library with the
   system compiler (`cc`, or `$CC`), and to `fast` (numpy) when it
   cannot.  `kernel_backend()` and kernel construction read the same
-  default, so the tier reported is the tier that runs.
-  `$REPRO_NATIVE=auto|cc|off` pins the flavor (`auto` and `cc` build
-  the library; `off` forces the numpy fallback; `native_flavor()`
-  reports what resolved).  `REPRO_KERNEL=fast` also selects numpy, and
+  default, so the tier reported is the tier that runs.  Whether the
+  library builds is observed, not configured (`native_flavor()` reports
+  `"cc"` or `None`): `REPRO_KERNEL=fast` pins the numpy tier, and
   `REPRO_KERNEL=reference` the dict-LRU oracle.
 - **Build cache.** The library is built once per user and cached under
   `$REPRO_NATIVE_CACHE` (default `$TMPDIR/repro-native-<uid>`, created
@@ -236,7 +239,7 @@ the dict-LRU reference as bit-identical oracles below it:
   loaded.  Builds compile in a private scratch directory and land with
   an atomic rename, so concurrent builds never see a torn file.
 - **Exactness is the only contract.** Box endpoints, hit/fault splits,
-  ladder plans, DP distances and parents (including tie-breaks), and
+  DP distances and parents (including tie-breaks), and
   GLOBAL-LRU completion times, hits, faults and evictions must equal
   the fast and reference tiers bit for bit;
   `tests/paging/test_native.py` pins the three-way equivalence
@@ -250,13 +253,15 @@ the dict-LRU reference as bit-identical oracles below it:
   records the measured ratios; the DP arm runs ~34× faster under the
   native tier on the reference machine).  CI fails unless the tier
   resolves to `native` on its image, and runs the whole tier-1 suite a
-  second time with `REPRO_NATIVE=off` to keep the fallback covered.
+  second time with `CC=false` and an empty build cache — a host with no
+  compiler — to keep the fallback covered.
 - **Zero-copy worker handoff.** `repro.exec.handoff.HandoffManager`
-  keeps pool workers off the pickle highway: workloads above
-  `$REPRO_HANDOFF_SPILL_ROWS` spill to a digest-named `.trc` store (a
-  `StoredWorkload` pickles as its path, and spilled twins keep the
-  in-memory cache key), request arrays above `$REPRO_HANDOFF_SHM_ROWS`
-  travel as `multiprocessing.shared_memory` names, and when several
+  keeps pool workers off the pickle highway: workloads of at least
+  `DEFAULT_SPILL_ROWS` (64 Ki) requests spill to a digest-named `.trc`
+  store (a `StoredWorkload` pickles as its path, and spilled twins keep
+  the in-memory cache key), request arrays of at least
+  `DEFAULT_SHM_ROWS` (16 Ki) rows travel as
+  `multiprocessing.shared_memory` names, and when several
   units share one sequence the parent ships the kernel's
   `prev_occ`/`reuse_dist` precompute once through the same segments.
   The pickled payload per task stays bounded (a name plus a length) as
@@ -283,8 +288,8 @@ byte-identical oracle:
   processor as priority — and keeps serving the popped processor while
   its next completion is still the earliest key.  On the native tier
   that loop runs compiled (`repro_lru_run`, with the shared LRU in an
-  open-addressing table); `REPRO_NATIVE=off` and
-  `REPRO_KERNEL=fast|reference` run it in python over `LRUCache`.
+  open-addressing table); `REPRO_KERNEL=fast|reference`, or a host
+  without a compiler, run it in python over `LRUCache`.
 - **Arbitrary `k >= p >= 1`.** `HeightLattice` is a doubling ladder
   from `max(1, k // p)` clamped at `k` — identical to the paper's
   lattice on power-of-two inputs, well-defined on everything else, with
@@ -310,17 +315,15 @@ byte-identical oracle:
 - **Differential lockdown.** `REPRO_SIM=reference` routes every
   simulator back to the retained oracles (per-timestep full rescan for
   GLOBAL-LRU, per-request `run_box` for the box algorithms), mirroring
-  `REPRO_KERNEL`; `REPRO_SIM=auto` lets `resolve_sim_backend` pick per
-  cell (event everywhere the kernel batches probes cheaply, reference
-  only for streamed numpy-kernel serving on heavily imbalanced feeds),
-  logging each choice under the `sim.backend.auto` counter.  Both
+  `REPRO_KERNEL`.  The switch takes `event` (the default) or
+  `reference`; no per-cell heuristic picks between them.  Both
   backends — and streamed vs in-memory forms — produce byte-identical
   completion times, box traces, and (wall-stripped) `sim.*` snapshots
   across the `(k, p, algorithm, workload-family)` matrix, powers of two
   or not;
   `tests/parallel/test_differential.py` is the harness and CI's
   `stream` job replays it end-to-end through the CLI, on the compiled
-  tier and with `REPRO_NATIVE=off`.
+  tier and with `REPRO_KERNEL=fast`.
 
 ## Observability
 
