@@ -32,15 +32,32 @@ Internal sizing: the algorithm plans against ``k_int``, the largest power
 of two whose full reservation (bases + strips) fits in ``cache_size``;
 ``meta["k_int"]`` and per-phase reservations are reported so experiments
 can state the measured resource augmentation exactly.
+
+Two loops run the schedule.  On the native kernel tier with the default
+``event`` simulator (the rule :class:`~repro.parallel.timestep.GlobalLRU`
+follows too), the whole event loop — segment ends and strip slots in
+``(time, push order)``, stale-event skips, round-robin strips and the
+phase-end finalize — runs compiled as ``repro_detpar_run``
+(:mod:`repro.paging._native`) over state arrays :meth:`DetPar.run`
+owns.  Boxes are probed in place on each processor's columns: the cached
+:class:`~repro.paging.kernel.SequenceKernel` of an in-memory column, or
+the :class:`~repro.parallel.streaming.BoxFeed` window of a streamed one.
+Python runs only where the loop hands back: to pull chunks when a box
+runs past a window, to plan each phase, and to turn full record buffers
+into :class:`~repro.parallel.events.BoxRecord` lists.  The python event
+loop in :meth:`DetPar.run` is the no-compiler path and the differential
+oracle; both produce the same completions, trace and ``meta``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..paging.kernel import _active_native
 from ..parallel.events import BoxRecord, EventScheduler, ParallelRunResult
 from ..parallel.streaming import make_box_server
 from ..workloads.trace import ParallelWorkload
@@ -48,6 +65,16 @@ from .box import validate_lattice
 from .rand_par import next_power_of_two
 
 __all__ = ["DetPar"]
+
+#: ``repro_detpar_run``'s state layout (:mod:`repro.paging._native`):
+#: the indices into its scalar array, its modes and per-processor fields.
+(_T, _REMAINING, _EPOCH, _TOKEN, _SEQ, _HN, _HCAP, _PHASE, _PSA, _BASEH, _NLEV,
+ _MODE, _FINJ, _NREC, _RECCAP, _UPTO, _P, _S, _ST_LEN) = range(19)
+_SETUP = 2
+_PROC_FIELDS = 7  # position, length, done, segment height, start, token, tag
+#: Box records the compiled loop buffers between hand-backs.
+_REC_ROWS = 256
+_TAGS = ("base", "strip")
 
 
 class _Segment:
@@ -143,12 +170,20 @@ class DetPar:
 
     # ------------------------------------------------------------------ #
     def run(self, workload: ParallelWorkload) -> ParallelRunResult:
-        """Simulate DET-PAR on ``workload`` until every processor finishes."""
+        """Simulate DET-PAR on ``workload`` until every processor finishes.
+
+        On the native kernel tier the schedule runs as one compiled loop
+        (:meth:`_run_native`); the python loop below is the no-compiler
+        path and its oracle.
+        """
         s = self.miss_cost
         p = workload.p
         if p < 1:
             raise ValueError("workload must have at least one processor")
         server = make_box_server(workload, s)
+        ops = _active_native() if server.backend == "event" else None
+        if ops is not None:
+            return self._run_native(ops, server)
         n = server.lengths
         pos = [0] * p
         done = [n[i] == 0 for i in range(p)]
@@ -299,15 +334,124 @@ class DetPar:
         if remaining:  # pragma: no cover - defensive
             raise RuntimeError("DET-PAR event queue drained before completion (bug)")
 
+        return self._result(completion, trace, phases, rebuild_times)
+
+    def _result(
+        self,
+        completion: np.ndarray,
+        trace: List[BoxRecord],
+        phases: List[_PhaseInfo],
+        rebuild_times: List[int],
+    ) -> ParallelRunResult:
         return ParallelRunResult(
             algorithm=self.name,
             completion_times=completion,
             trace=trace,
             cache_size=self.cache_size,
-            miss_cost=s,
+            miss_cost=self.miss_cost,
             meta={
                 "phases": phases,
                 "rebuild_times": rebuild_times,
                 "reserved_peak": max((ph.reserved_height for ph in phases), default=0),
             },
         )
+
+    def _run_native(self, ops, server) -> ParallelRunResult:
+        """The python loop's schedule as ``repro_detpar_run``, a compiled
+        loop over state arrays this method owns.
+
+        The loop hands back to python at three points, each before it
+        changes any state of the step it stops at: a processor's window
+        ends before the box it is about to run (its :class:`BoxFeed`
+        pulls chunks until it covers the box — in-memory kernels cover
+        their whole column from the start), a phase ends (the next one
+        is planned here, raising the same ``ValueError`` when it does not
+        fit), or the record buffer is full.
+        """
+        p, n = server.p, server.lengths
+        completion = np.zeros(p, dtype=np.int64)
+        trace: List[BoxRecord] = []
+        phases: List[_PhaseInfo] = []
+        rebuild_times: List[int] = []
+        remaining = sum(1 for x in n if x)
+        if not remaining:
+            return self._result(completion, trace, phases, rebuild_times)
+        st = np.zeros(_ST_LEN, dtype=np.int64)
+        st[_REMAINING], st[_RECCAP], st[_P], st[_S] = remaining, _REC_ROWS, p, self.miss_cost
+        proc = np.zeros((p, _PROC_FIELDS), dtype=np.int64)
+        proc[:, 1] = n
+        proc[:, 2] = [x == 0 for x in n]
+        feeds = server._feeds
+        # the kernels (and so the columns the window rows point at) stay
+        # alive in ``server`` until this returns
+        kernels = [f.kernel for f in feeds] if feeds is not None else server._kerns
+        win = np.array([k.window() for k in kernels], dtype=np.int64)
+        lev = np.zeros((64, 3), dtype=np.int64)  # heights double: at most 63 levels
+        rec = np.zeros((_REC_ROWS, 10), dtype=np.int64)
+        heap = np.zeros((0, 4), dtype=np.int64)
+
+        def drain() -> None:
+            cols = rec[: st[_NREC]].T.tolist()
+            cols[9] = [_TAGS[x] for x in cols[9]]
+            # tuple.__new__ skips the generated __new__'s frame per record
+            trace.extend(map(tuple.__new__, repeat(BoxRecord), zip(*cols)))
+            st[_NREC] = 0
+
+        def plan(t: int) -> None:
+            """setup_phase's planning half; the loop starts the boxes."""
+            nonlocal heap
+            active = int(st[_REMAINING])
+            k_int, b, slots, reserved = self._plan_phase(active)
+            heights = self._phase_heights(k_int, b)
+            phases.append(
+                _PhaseInfo(
+                    index=len(phases),
+                    start_time=t,
+                    active_at_start=active,
+                    base_height=b,
+                    k_int=k_int,
+                    levels=len(heights),
+                    strip_slots=dict(slots),
+                    reserved_height=reserved,
+                )
+            )
+            st[_EPOCH] += 1
+            st[_PHASE], st[_PSA], st[_BASEH] = len(phases) - 1, active, b
+            st[_NLEV] = len(slots)
+            lev[: len(slots), 0] = list(slots)
+            lev[: len(slots), 1] = list(slots.values())
+            # pending events never exceed those pending now plus, per
+            # active processor, one segment per height (its chain of
+            # preemptions) plus the slots: each slot event re-pushes
+            # itself, and a chain's stale ends precede its last end
+            need = int(st[_HN]) + active * len(heights) + sum(slots.values()) + 2
+            if need > len(heap):
+                grown = np.zeros((max(need, 2 * len(heap)), 4), dtype=np.int64)
+                grown[: len(heap)] = heap
+                heap = grown
+                st[_HCAP] = len(heap)
+            st[_T], st[_MODE] = t, _SETUP
+
+        plan(0)
+        step = ops.detpar_loop(st, heap, proc, win, lev, rec, completion)
+        while (i := step()) != -1:
+            if i >= 0:
+                feed = feeds[i]
+                feed.position = int(proc[i, 0])
+                feed.ensure(int(st[_UPTO]))
+                win[i] = feed.kernel.window()
+            elif i == -3:
+                drain()
+            elif i == -2:
+                t = int(st[_T])
+                rebuild_times.append(t)
+                if not st[_REMAINING]:
+                    break
+                bound = heap
+                plan(t)
+                if heap is not bound:
+                    step = ops.detpar_loop(st, heap, proc, win, lev, rec, completion)
+            else:  # pragma: no cover - defensive
+                raise RuntimeError(f"DET-PAR compiled loop stopped with status {i} (bug)")
+        drain()
+        return self._result(completion, trace, phases, rebuild_times)

@@ -1,28 +1,41 @@
 """Compiled kernel primitives: the production kernel tier.
 
 The numpy fast path (:mod:`repro.paging.kernel`) already amortizes the
-reuse-distance precompute, but four inner loops remain bound by python
+reuse-distance precompute, but five inner loops remain bound by python
 or by O(window) vectorized work per probe:
 
-* the reuse-distance Fenwick sweep (python loop beyond the vectorized
-  build cutoff, O(n²/chunk) numpy below it),
+* the reuse-distance sweep (a python Fenwick loop beyond the vectorized
+  build cutoff, O(n²/chunk) numpy below it, and an argsort plus a
+  re-sweep of the whole window per chunk a stream appends).  Compiled,
+  it is the streaming window's append (``repro_stream_append``): the
+  window's columns, Fenwick tree and page table live in one block the
+  :class:`repro.paging.kernel.StreamKernel` owns, a chunk costs
+  O(chunk) work, amortized, and a whole sequence is one chunk;
 * the per-box service walk (a cumsum over the whole budget window even
   when the box serves a dozen requests),
 * the offline green DP relaxation (a python ``zip`` loop over every
-  reachable position × ladder level), and
+  reachable position × ladder level),
 * GLOBAL-LRU's shared-cache event loop (one python LRU touch and heap
-  step per request, :class:`repro.parallel.timestep.GlobalLRU`).  Its
-  state lives in int64 arrays the caller owns, so a call returns when a
-  processor's chunk runs out and resumes once the caller installs the
-  next one; a streamed run never holds more than one chunk per processor.
+  step per request, :class:`repro.parallel.timestep.GlobalLRU`), and
+* DET-PAR's event loop (one python heap step, segment and box record per
+  event, :class:`repro.core.det_par.DetPar`).
+
+Both event loops keep their state in int64 arrays the caller owns, so a
+call returns to the caller when it needs python — GLOBAL-LRU when a
+processor's chunk runs out, DET-PAR when a box runs past a processor's
+window, a phase ends or its record buffer fills — and resumes where it
+stopped; a streamed run never holds more than one window per processor.
+The C code keeps no static or global state: ctypes releases the GIL, so
+threads may run loops side by side.
 
 This module compiles those loops from one small C translation unit with
 the system C compiler (``$CC``, default ``cc``) into a content-addressed
 shared library and loads it through :mod:`ctypes` (no third-party
 dependency at all).  Every value it produces — reuse distances, box
 endpoints, DP distances and parent pointers, GLOBAL-LRU completion times
-and counts — is bit-identical to the numpy fast path (or python event
-loop) and to the reference.  With ``$REPRO_KERNEL`` unset the kernel
+and counts, DET-PAR's completions, box records and phases — is
+bit-identical to the numpy fast path (or python event loop) and to the
+reference.  With ``$REPRO_KERNEL`` unset the kernel
 runs on this tier whenever the library builds; when it cannot be built
 (no compiler) :func:`native_ops` returns ``None`` and the kernel falls
 back to the numpy fast path (see
@@ -61,62 +74,123 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-__all__ = ["NativeOps", "native_ops", "native_flavor", "clear_native_cache"]
+__all__ = ["NativeOps", "native_ops", "native_flavor", "clear_native_cache", "address"]
 
 #: Environment variable overriding the cc build cache directory.
 NATIVE_CACHE_ENV = "REPRO_NATIVE_CACHE"
 
 _C_SOURCE = r"""
 #include <stdint.h>
-
-/* Reuse-distance sweep in deletion form (cf. SequenceKernel.__init__):
- * position j is marked in the Fenwick tree once its page reoccurs, so
- * the distinct count between an occurrence pair (j, i) is the gap
- * length minus the marks inside it.  Rows in [0, lo) are processed for
- * their tree marks but not written, which is exactly what the
- * streaming kernel's suffix rebuild needs.  `tree` must be zeroed,
- * length cap + 1, cap >= hi. */
-void repro_reuse_sweep(const int64_t *prev, int64_t lo, int64_t hi,
-                       int64_t cold, int64_t *tree, int64_t cap,
-                       int64_t *reuse) {
-    int64_t i, j, x, acc;
-    for (i = 0; i < hi; i++) {
-        j = prev[i];
-        if (j >= 0) {
-            if (i >= lo) {
-                acc = i - 1 - j;
-                for (x = i; x > 0; x -= x & (-x))
-                    acc -= tree[x];
-                for (x = j + 1; x > 0; x -= x & (-x))
-                    acc += tree[x];
-                reuse[i] = acc;
-            }
-            for (x = j + 1; x <= cap; x += x & (-x))
-                tree[x] += 1;
-        } else if (i >= lo) {
-            reuse[i] = cold;
-        }
-    }
-}
+#include <string.h>
 
 /* One box service walk: the reference loop over the precomputed hit
- * predicate (hit iff prev[i] >= start && reuse[i] < height).  Writes
- * (served, hits, time_used) into out3. */
-void repro_box_run(const int64_t *prev, const int64_t *reuse, int64_t n,
-                   int64_t start, int64_t height, int64_t budget,
-                   int64_t s, int64_t *out3) {
-    int64_t i = start, t = 0, hits = 0, c;
+ * predicate.  Columns hold global previous-occurrence positions, so a
+ * box from global position `start` walks column rows [i, n) and hits
+ * iff prev >= start && reuse < height.  Returns the first row not
+ * served; hits and time used go to *hits and *used. */
+static int64_t box_walk(const int64_t *prev, const int64_t *reuse, int64_t i,
+                        int64_t n, int64_t start, int64_t height,
+                        int64_t budget, int64_t s, int64_t *hits,
+                        int64_t *used) {
+    int64_t t = 0, h = 0, c;
     while (i < n) {
         c = (prev[i] >= start && reuse[i] < height) ? 1 : s;
         if (t + c > budget)
             break;
         t += c;
-        hits += (c == 1);
+        h += (c == 1);
         i++;
     }
-    out3[0] = i - start;
-    out3[1] = hits;
-    out3[2] = t;
+    *hits = h;
+    *used = t;
+    return i;
+}
+
+/* box_walk for python callers: (served, hits, time_used) into out3. */
+void repro_box_run(const int64_t *prev, const int64_t *reuse, int64_t i,
+                   int64_t n, int64_t start, int64_t height, int64_t budget,
+                   int64_t s, int64_t *out3) {
+    out3[0] = box_walk(prev, reuse, i, n, start, height, budget, s, out3 + 1,
+                       out3 + 2) - i;
+}
+
+/* The streaming window (repro.paging.kernel.StreamKernel) in one
+ * caller-owned block: 7 header words, then prev, reuse and page columns
+ * of cap rows each, a Fenwick tree of cap + 1 and a page table.
+ *   header  origin, first retained row, retained rows, cap, log2(table
+ *           slots), table entries, dirty (rows moved or block replaced)
+ *   prev    global previous occurrence, -1 when none is retained
+ *   tree    marks the rows whose page recurs later
+ *   table   page -> 1 + row of its latest occurrence (0 = empty),
+ *           linear probing, at most half full
+ * Column row r holds global position origin + r, and rows [first, first
+ * + retained) are retained.  Appends m rows in O(m log cap).  When they
+ * do not fit behind the window, the retained rows move to the front
+ * first and the tree and table are rebuilt from them, which the
+ * compactions behind them pay for.  Returns 0, or 1 when the table would
+ * pass half full: then nothing retained has changed, and the caller
+ * moves the window into a block with a table twice the size. */
+#define WIN_HOME(page) ((int64_t)(((uint64_t)(page) * 0x9E3779B97F4A7C15ULL) >> (64 - bits)))
+
+int64_t repro_stream_append(int64_t *w, const int64_t *chunk, int64_t m, int64_t cold) {
+    int64_t origin = w[0], off = w[1], n = w[2], cap = w[3], bits = w[4];
+    int64_t mask = ((int64_t)1 << bits) - 1, entries = w[5], r, q, x, y, j, pg, acc;
+    int64_t *prev = w + 7, *reuse = prev + cap, *page = reuse + cap;
+    int64_t *tree = page + cap, *table = tree + cap + 1;
+    if (w[6] || off + n + m > cap) {
+        w[6] = 1;
+        if (off) {
+            memmove(page, page + off, n * sizeof(int64_t));
+            memmove(prev, prev + off, n * sizeof(int64_t));
+            memmove(reuse, reuse + off, n * sizeof(int64_t));
+            w[0] = origin += off;
+            w[1] = off = 0;
+        }
+        memset(tree, 0, (cap + 1) * sizeof(int64_t));
+        memset(table, 0, (mask + 1) * sizeof(int64_t));
+        for (entries = 0, r = 0; r < n; r++) {
+            if (prev[r] >= origin)
+                tree[prev[r] - origin + 1] = 1;
+            for (j = WIN_HOME(page[r]); table[j] && page[table[j] - 1] != page[r];)
+                j = (j + 1) & mask;
+            if (!table[j] && 2 * ++entries > mask + 1)
+                return 1;
+            table[j] = r + 1;
+        }
+        for (x = 1; x <= cap; x++)
+            if ((y = x + (x & -x)) <= cap)
+                tree[y] += tree[x];
+        w[5] = entries;
+        w[6] = 0;
+    }
+    for (r = 0; r < m; r++) {
+        q = off + n + r;
+        pg = chunk[r];
+        for (j = WIN_HOME(pg); table[j] && page[table[j] - 1] != pg;)
+            j = (j + 1) & mask;
+        x = table[j] - 1;
+        if (x < off) {  /* first occurrence, or its last one was compacted */
+            if (x < 0 && 2 * ++entries > mask + 1)
+                return 1;
+            prev[q] = -1;
+            reuse[q] = cold;
+        } else {  /* distinct pages in (x, q): the gap minus its marks */
+            prev[q] = origin + x;
+            acc = q - 1 - x;
+            for (y = q; y > 0; y -= y & -y)
+                acc -= tree[y];
+            for (y = x + 1; y > 0; y -= y & -y)
+                acc += tree[y];
+            reuse[q] = acc;
+            for (y = x + 1; y <= cap; y += y & -y)
+                tree[y] += 1;
+        }
+        page[q] = pg;
+        table[j] = q + 1;
+    }
+    w[2] = n + m;
+    w[5] = entries;
+    return 0;
 }
 
 /* The whole offline green DP relaxation (repro.green.offline): ascending
@@ -263,7 +337,223 @@ out:
     st[0] = key; st[1] = hn; st[2] = size; st[3] = mru; st[4] = lru;
     return status;
 }
+
+/* DET-PAR's event loop (repro.core.det_par.DetPar) over caller-owned
+ * state, resumable like repro_lru_run:
+ *   st    the DP_* scalars below
+ *   heap  4 per pending event: time, push number, a, b.  a >= 0 is the
+ *         seg_end of processor a's segment with token b, a < 0 the slot
+ *         event of strip level -1 - a in epoch b.  Events pop in (time,
+ *         push number) order, EventScheduler's order.
+ *   proc  DP_PROC per processor: the PR_* fields (height 0 = no segment)
+ *   win   4 per processor: prev and reuse column addresses, the global
+ *         position of column row 0, and one past the last row swept
+ *   lev   3 per strip level: height, slots, round-robin pointer
+ *   rec   10 per box record: BoxRecord's fields, the tag as 0 base, 1 strip
+ * It returns before it changes any state of the step it stops at, and
+ * re-runs that step when called again:
+ *   i >= 0  processor i's window ends before st[DP_UPTO], the end of the
+ *           box it is about to run;
+ *   -2      a phase ended and every segment is finalized: the caller
+ *           plans the next one and sets st[DP_MODE] = DP_SETUP;
+ *   -3      the record buffer is full;
+ *   -1      every processor is done; -4 the queue drained first, -5 the
+ *           heap is full (both bugs). */
+enum { DP_T, DP_REMAINING, DP_EPOCH, DP_TOKEN, DP_SEQ, DP_HN, DP_HCAP, DP_PHASE,
+       DP_PSA, DP_BASEH, DP_NLEV, DP_MODE, DP_FINJ, DP_NREC, DP_RECCAP, DP_UPTO,
+       DP_P, DP_S, DP_LEN };
+enum { DP_EVENTS, DP_FINAL, DP_SETUP };
+enum { PR_POS, PR_N, PR_DONE, PR_H, PR_START, PR_TOKEN, PR_TAG, DP_PROC };
+
+#define EV_BEFORE(x, y) (heap[4 * (x)] < heap[4 * (y)] || \
+    (heap[4 * (x)] == heap[4 * (y)] && heap[4 * (x) + 1] < heap[4 * (y) + 1]))
+
+static void ev_swap(int64_t *heap, int64_t x, int64_t y) {
+    int64_t k, v;
+    for (k = 0; k < 4; k++) {
+        v = heap[4 * x + k];
+        heap[4 * x + k] = heap[4 * y + k];
+        heap[4 * y + k] = v;
+    }
+}
+
+static void ev_push(int64_t *st, int64_t *heap, int64_t t, int64_t a, int64_t b) {
+    int64_t x = st[DP_HN]++, up;
+    heap[4 * x] = t;
+    heap[4 * x + 1] = st[DP_SEQ]++;
+    heap[4 * x + 2] = a;
+    heap[4 * x + 3] = b;
+    for (; x > 0 && EV_BEFORE(x, up = (x - 1) >> 1); x = up)
+        ev_swap(heap, x, up);
+}
+
+static void ev_pop(int64_t *st, int64_t *heap) {
+    int64_t hn = --st[DP_HN], x = 0, c;
+    ev_swap(heap, 0, hn);
+    while ((c = 2 * x + 1) < hn) {
+        if (c + 1 < hn && EV_BEFORE(c + 1, c))
+            c++;
+        if (!EV_BEFORE(c, x))
+            break;
+        ev_swap(heap, x, c);
+        x = c;
+    }
+}
+
+/* Does processor i's window cover the box that finalizing its segment
+ * at time t runs?  If not, st[DP_UPTO] is set to the row it must reach. */
+static int dp_covered(int64_t *st, const int64_t *proc, const int64_t *win,
+                      int64_t i, int64_t t) {
+    const int64_t *pr = proc + DP_PROC * i;
+    int64_t budget = t - pr[PR_START], upto = pr[PR_POS] + budget;
+    if (!pr[PR_H] || budget <= 0)
+        return 1;
+    if (upto > pr[PR_N])
+        upto = pr[PR_N];
+    if (win[4 * i + 3] >= upto)
+        return 1;
+    st[DP_UPTO] = upto;
+    return 0;
+}
+
+/* finalize(i, t): run processor i's segment up to time t as one box. */
+static void dp_finalize(int64_t *st, int64_t *proc, const int64_t *win,
+                        int64_t *rec, int64_t *completion, int64_t i, int64_t t) {
+    int64_t *pr = proc + DP_PROC * i, *r;
+    const int64_t *w = win + 4 * i;
+    int64_t h = pr[PR_H], start = pr[PR_START], pos = pr[PR_POS], end, hits, used;
+    if (!h)
+        return;
+    pr[PR_H] = 0;
+    if (t - start <= 0)
+        return;
+    end = box_walk((const int64_t *)(intptr_t)w[0], (const int64_t *)(intptr_t)w[1],
+                   pos - w[2], w[3] - w[2], pos, h, t - start, st[DP_S], &hits, &used)
+          + w[2];
+    r = rec + 10 * st[DP_NREC]++;
+    r[0] = i; r[1] = h; r[2] = start; r[3] = t; r[4] = pos; r[5] = end;
+    r[6] = hits; r[7] = end - pos - hits; r[8] = st[DP_PHASE]; r[9] = pr[PR_TAG];
+    pr[PR_POS] = end;
+    if (end >= pr[PR_N] && !pr[PR_DONE]) {
+        pr[PR_DONE] = 1;
+        st[DP_REMAINING]--;
+        completion[i] = start + used;
+    }
+}
+
+static void dp_start(int64_t *st, int64_t *heap, int64_t *proc, int64_t i,
+                     int64_t h, int64_t t, int64_t tag) {
+    int64_t *pr = proc + DP_PROC * i;
+    pr[PR_H] = h;
+    pr[PR_START] = t;
+    pr[PR_TOKEN] = ++st[DP_TOKEN];
+    pr[PR_TAG] = tag;
+    ev_push(st, heap, t + st[DP_S] * h, i, pr[PR_TOKEN]);
+}
+
+int64_t repro_detpar_run(int64_t *st, int64_t *heap, int64_t *proc,
+                         const int64_t *win, int64_t *lev, int64_t *rec,
+                         int64_t *completion) {
+    const int64_t p = st[DP_P], s = st[DP_S];
+    int64_t t, a, b, i, j, k, z, h, *pr;
+    for (;;) {
+        if (st[DP_NREC] == st[DP_RECCAP])
+            return -3;
+        if (st[DP_MODE] == DP_SETUP) {  /* base boxes, then every strip slot */
+            t = st[DP_T];
+            for (i = 0; i < p; i++)
+                if (!proc[DP_PROC * i + PR_DONE])
+                    dp_start(st, heap, proc, i, st[DP_BASEH], t, 0);
+            for (j = 0; j < st[DP_NLEV]; j++) {
+                lev[3 * j + 2] = 0;
+                for (k = 0; k < lev[3 * j + 1]; k++)
+                    ev_push(st, heap, t, -1 - j, st[DP_EPOCH]);
+            }
+            st[DP_MODE] = DP_EVENTS;
+            continue;
+        }
+        if (st[DP_MODE] == DP_FINAL) {  /* finalize every running segment */
+            t = st[DP_T];
+            for (i = st[DP_FINJ]; i < p && !proc[DP_PROC * i + PR_H]; i++)
+                ;
+            st[DP_FINJ] = i;
+            if (i == p)
+                return -2;
+            if (!dp_covered(st, proc, win, i, t))
+                return i;
+            dp_finalize(st, proc, win, rec, completion, i, t);
+            continue;
+        }
+        if (!st[DP_REMAINING])
+            return -1;
+        if (!st[DP_HN])
+            return -4;
+        if (st[DP_HN] + 1 > st[DP_HCAP])
+            return -5;
+        t = heap[0];
+        a = heap[2];
+        b = heap[3];
+        if (a >= 0) {  /* seg_end */
+            i = a;
+            pr = proc + DP_PROC * i;
+            if (!pr[PR_H] || pr[PR_TOKEN] != b) {  /* stale: preempted or rebuilt */
+                ev_pop(st, heap);
+                continue;
+            }
+            if (!dp_covered(st, proc, win, i, t))
+                return i;
+            ev_pop(st, heap);
+            dp_finalize(st, proc, win, rec, completion, i, t);
+            if (!pr[PR_DONE])
+                dp_start(st, heap, proc, i, st[DP_BASEH], t, 0);
+        } else {  /* slot: offer a height-z box to the next active processor */
+            j = -1 - a;
+            if (b != st[DP_EPOCH]) {  /* stale: the phase was rebuilt */
+                ev_pop(st, heap);
+                continue;
+            }
+            z = lev[3 * j];
+            for (i = lev[3 * j + 2], k = 0; k < p && proc[DP_PROC * i + PR_DONE]; k++)
+                i = i + 1 == p ? 0 : i + 1;
+            if (k == p) {  /* no active processor: the strip dies */
+                ev_pop(st, heap);
+                continue;
+            }
+            pr = proc + DP_PROC * i;
+            h = pr[PR_H];
+            if ((!h || z > h) && !dp_covered(st, proc, win, i, t))
+                return i;
+            ev_pop(st, heap);
+            lev[3 * j + 2] = i + 1 == p ? 0 : i + 1;
+            if (!h || z > h) {  /* taller than what it holds: adopt */
+                dp_finalize(st, proc, win, rec, completion, i, t);
+                if (!pr[PR_DONE])
+                    dp_start(st, heap, proc, i, z, t, 1);
+            }
+            ev_push(st, heap, t + s * z, a, b);
+        }
+        /* phase end: half the processors active at its start are done */
+        if (st[DP_REMAINING] && st[DP_REMAINING] <= st[DP_PSA] / 2) {
+            st[DP_T] = t;
+            st[DP_FINJ] = 0;
+            st[DP_MODE] = DP_FINAL;
+        }
+    }
+}
 """
+
+
+def address(arr: np.ndarray) -> int:
+    """The address of a C-contiguous array's data, as an int.
+
+    A writable, non-empty buffer is read through ``ctypes.c_char.from_buffer``,
+    which costs a fifth of ``arr.ctypes.data`` and its helper object; the
+    window blocks take two lookups per append.  The caller keeps ``arr``
+    alive while the address is in use.
+    """
+    if arr.flags.writeable and arr.nbytes:
+        return ctypes.addressof(ctypes.c_char.from_buffer(arr))
+    return arr.ctypes.data
 
 
 @dataclass(frozen=True)
@@ -274,22 +564,27 @@ class NativeOps:
     output arrays are filled in place.
     """
 
-    reuse_sweep: Callable[..., None]
     dp_solve: Callable[..., None]
-    #: ``prepare(prev, reuse)`` -> opaque handle; ``box_probe(handle, n,
-    #: start, height, budget, s)`` -> ``[served, hits, time_used]`` of one
-    #: box, without per-call pointer/array marshalling, for call sites that
-    #: probe the same arrays tens of thousands of times (the streamed box
-    #: server).  The handle keeps the arrays alive and must be dropped
-    #: whenever they are replaced.
-    prepare: Callable[..., object]
+    #: ``box_probe(prev_addr, reuse_addr, i, n, start, height, budget, s)``
+    #: -> ``[served, hits, time_used]`` of the box from global position
+    #: ``start`` over column rows ``[i, n)`` (``repro_box_run``), for call
+    #: sites that probe the same columns tens of thousands of times.  The
+    #: caller passes the columns' addresses and keeps the arrays alive.
     box_probe: Callable[..., List[int]]
+    #: ``stream_append(addr, chunk)`` -> 0, or 1 when the window's page
+    #: table must grow first: ``repro_stream_append`` over the window
+    #: block at ``addr``.
+    stream_append: Callable[..., int]
     #: ``lru_loop(shift, miss, st, heap, proc, table, node, completion)``
     #: -> ``step``: GLOBAL-LRU's event loop bound to those state arrays
     #: (layout on ``repro_lru_run``).  Each ``step()`` runs it until a
     #: processor's chunk runs out, returning that processor, or until all
     #: are done, returning -1.  ``step`` holds the arrays alive.
     lru_loop: Callable[..., Callable[[], int]]
+    #: ``detpar_loop(st, heap, proc, win, lev, rec, completion)`` ->
+    #: ``step``: DET-PAR's event loop bound to those state arrays (layout
+    #: and return codes on ``repro_detpar_run``); ``step`` holds them alive.
+    detpar_loop: Callable[..., Callable[[], int]]
 
 
 # --------------------------------------------------------------------- #
@@ -382,33 +677,28 @@ def _cc_ops() -> Optional[NativeOps]:
     p_i64 = ctypes.c_void_p  # raw addresses: ndarray.ctypes.data ints pass
     # straight through, skipping data_as()'s cast machinery per call
     for name, argtypes in (
-        ("repro_reuse_sweep", [p_i64, c_i64, c_i64, c_i64, p_i64, c_i64, p_i64]),
-        ("repro_box_run", [p_i64, p_i64, c_i64, c_i64, c_i64, c_i64, c_i64, p_i64]),
+        ("repro_box_run", [p_i64, p_i64] + [c_i64] * 6 + [p_i64]),
         ("repro_dp_solve", [p_i64, p_i64, c_i64, c_i64, p_i64, p_i64, p_i64, c_i64, c_i64, p_i64, p_i64, p_i64]),
+        ("repro_stream_append", [p_i64, p_i64, c_i64, c_i64]),
         ("repro_lru_run", [c_i64, c_i64] + [p_i64] * 6),
+        ("repro_detpar_run", [p_i64] * 7),
     ):
         fn = getattr(lib, name)
         fn.argtypes = argtypes
         fn.restype = None
-    lib.repro_lru_run.restype = c_i64
+    for name in ("repro_stream_append", "repro_lru_run", "repro_detpar_run"):
+        getattr(lib, name).restype = c_i64
 
-    def ptr(arr: np.ndarray) -> int:
-        return arr.ctypes.data
+    ptr = address
 
     # per-thread (out array, out pointer) scratch for box probes: the C
     # call releases the GIL, so a shared buffer could race across threads
     tls = threading.local()
     box_fn = lib.repro_box_run
+    append_fn = lib.repro_stream_append
+    cold = np.iinfo(np.int64).max
 
-    def reuse_sweep(prev, lo, hi, cold, tree, cap, reuse):
-        lib.repro_reuse_sweep(ptr(prev), lo, hi, cold, ptr(tree), cap, ptr(reuse))
-
-    def prepare(prev, reuse):
-        # the handle holds the arrays alongside their raw pointers so the
-        # pointers can never dangle
-        return (ptr(prev), ptr(reuse), prev, reuse)
-
-    def box_probe(handle, n, start, height, budget, s):
+    def box_probe(prev_addr, reuse_addr, i, n, start, height, budget, s):
         # the scratch is fetched inline: this runs once per event-driven
         # box, where a spare function frame is measurable
         try:
@@ -416,8 +706,11 @@ def _cc_ops() -> Optional[NativeOps]:
         except AttributeError:
             arr = np.empty(3, dtype=np.int64)
             out, optr = tls.pair = (arr, ptr(arr))
-        box_fn(handle[0], handle[1], n, start, height, budget, s, optr)
+        box_fn(prev_addr, reuse_addr, i, n, start, height, budget, s, optr)
         return out.tolist()
+
+    def stream_append(addr, chunk):
+        return append_fn(addr, ptr(chunk), len(chunk), cold)
 
     def dp_solve(prev, lev, budgets, costs, heights, s, inf, dist, parent_pos, parent_h):
         lib.repro_dp_solve(
@@ -425,17 +718,23 @@ def _cc_ops() -> Optional[NativeOps]:
             ptr(heights), s, inf, ptr(dist), ptr(parent_pos), ptr(parent_h),
         )
 
-    def lru_loop(shift, miss, *state):
-        step = functools.partial(lib.repro_lru_run, shift, miss, *map(ptr, state))
+    def bind(fn, *args, state):
+        step = functools.partial(fn, *args, *map(ptr, state))
         step.state = state  # the pointers above stay valid while step lives
         return step
 
+    def lru_loop(shift, miss, *state):
+        return bind(lib.repro_lru_run, shift, miss, state=state)
+
+    def detpar_loop(*state):
+        return bind(lib.repro_detpar_run, state=state)
+
     return NativeOps(
-        reuse_sweep=reuse_sweep,
         dp_solve=dp_solve,
-        prepare=prepare,
         box_probe=box_probe,
+        stream_append=stream_append,
         lru_loop=lru_loop,
+        detpar_loop=detpar_loop,
     )
 
 

@@ -28,9 +28,9 @@ reference :func:`repro.paging.engine.run_box` by the property suite in
 rows, selected by ``$REPRO_KERNEL``:
 
 * ``native`` (the default when unset) routes the reuse-distance sweep,
-  the box service walk, the offline DP relaxation and GLOBAL-LRU's
-  event loop through the cc-compiled primitives of
-  :mod:`repro.paging._native`;
+  the streaming window's append, the box service walk, the offline DP
+  relaxation and the GLOBAL-LRU and DET-PAR event loops through the
+  cc-compiled primitives of :mod:`repro.paging._native`;
 * ``fast`` is the numpy path below, which is also what ``native``
   resolves to when the compiled library cannot be built (no usable C
   compiler);
@@ -53,7 +53,9 @@ Two kernel flavors:
   array identity or an explicit content digest);
 * :class:`StreamKernel` — incremental: chunks are appended as a stream
   delivers them and the swept prefix is compacted away as execution
-  passes it, so bounded-memory streaming keeps bounded memory.
+  passes it, so bounded-memory streaming keeps bounded memory.  On the
+  native tier its window lives in one block it owns and grows, which
+  the box probe and the compiled DET-PAR loop read in place.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
-from ._native import native_flavor, native_ops
+from ._native import address, native_flavor, native_ops
 from .engine import BoxRun, run_box
 
 __all__ = [
@@ -101,6 +103,13 @@ _COLD = np.iinfo(np.int64).max
 #: inverse-square distribution draws mostly minimum-height boxes serving a
 #: handful of requests each, where per-call numpy overhead dominates.
 _SCALAR_MAX = 128
+
+#: Header words of the native tier's streaming window block (layout on
+#: ``repro_stream_append`` in :mod:`repro.paging._native`), and the least
+#: log2 of its first page table's slots (an eighth of the first chunk's
+#: rows, at least); the table doubles as distinct pages arrive.
+_WIN_HEADER = 7
+_WIN_TABLE_BITS = 6
 
 #: The offline DP's ladder plan evaluates endpoints for this many
 #: consecutive start positions per batch, amortizing numpy dispatch
@@ -223,12 +232,15 @@ class _KernelOps:
     Subclasses provide ``_prev``/``_reuse`` (int64 arrays, at least
     ``_n`` valid entries) in *local* coordinates, their plain-int
     mirrors ``_prev_list``/``_reuse_list`` (built lazily), ``base`` (the
-    global index of local position 0) plus ``_ops``/``_hand`` (the
-    construction-time native primitives and their prepared-probe handle,
-    both ``None`` on the numpy tier).  Only the window base is checked
-    here: callers either go through :func:`run_box_fast` (which
-    validates like the reference) or pass pre-validated arguments (the
-    box server).
+    global index of local position 0) and ``_ops`` (the construction-time
+    native primitives, ``None`` on the numpy tier).  On the native tier
+    they also provide the compiled probe's view of their columns:
+    ``_pp``/``_rp`` (column addresses), ``_origin`` (global position of
+    column row 0) and ``_stop`` (one past the last column row); there
+    the columns hold *global* previous-occurrence positions.  Only the
+    window base is checked here: callers either go through
+    :func:`run_box_fast` (which validates like the reference) or pass
+    pre-validated arguments (the box server).
     """
 
     _prev: np.ndarray
@@ -237,7 +249,10 @@ class _KernelOps:
     _prev_list: Optional[List[int]]
     _reuse_list: Optional[List[int]]
     _ops: object
-    _hand: object
+    _pp: int
+    _rp: int
+    _origin: int
+    _stop: int
     base: int
 
     def box(self, start: int, height: int, budget: int, miss_cost: int) -> BoxRun:
@@ -258,10 +273,9 @@ class _KernelOps:
             raise ValueError(f"box start {start} precedes retained window base {self.base}")
         ops = self._ops
         if ops is not None:
-            hand = self._hand
-            if hand is None:
-                hand = self._hand = ops.prepare(self._prev, self._reuse)
-            served, hits, t = ops.box_probe(hand, self._n, local, height, budget, miss_cost)
+            served, hits, t = ops.box_probe(
+                self._pp, self._rp, start - self._origin, self._stop, start, height, budget, miss_cost
+            )
             return BoxRun(
                 start=start,
                 end=start + served,
@@ -336,11 +350,12 @@ class SequenceKernel(_KernelOps):
 
     __slots__ = (
         "seq", "_prev", "_reuse", "_n", "_weak", "_plan_cache",
-        "_prev_list", "_reuse_list", "_ops", "_hand",
+        "_prev_list", "_reuse_list", "_ops", "_pp", "_rp", "_stop",
     )
 
     #: Sequence coordinates are the window's coordinates.
     base = 0
+    _origin = 0
 
     def __init__(self, seq: np.ndarray) -> None:
         arr = np.ascontiguousarray(seq, dtype=np.int64)
@@ -350,9 +365,20 @@ class SequenceKernel(_KernelOps):
         self._plan_cache: Dict[Tuple, "_LadderPlan"] = {}
         self._prev_list: Optional[List[int]] = None
         self._reuse_list: Optional[List[int]] = None
-        self._hand = None
         n = len(arr)
         self._n = n
+        ops = _active_native()
+        self._ops = ops
+        if n and ops is not None:
+            # the compiled sweep is the streaming window's: sweep the
+            # whole sequence as one chunk and keep its two columns
+            stream = StreamKernel()
+            stream.append(arr)
+            stream.seal()
+            self._prev = stream._column(0)
+            self._reuse = stream._column(1)
+            self._bind()
+            return
         # prev_occ fully vectorized: stable-sort positions by page, then
         # each position's predecessor within its page group is its
         # previous occurrence.
@@ -361,16 +387,7 @@ class SequenceKernel(_KernelOps):
             order = np.argsort(arr, kind="stable")
             same = arr[order[1:]] == arr[order[:-1]]
             prev[order[1:]] = np.where(same, order[:-1], -1)
-        ops = _active_native()
-        self._ops = ops
-        if n and ops is not None:
-            # compiled Fenwick sweep: O(n log n) with a C/jit constant,
-            # bit-identical to both pure-python forms below
-            reuse = np.empty(n, dtype=np.int64)
-            ops.reuse_sweep(prev, 0, n, _COLD, np.zeros(n + 1, dtype=np.int64), n, reuse)
-            self._prev = prev
-            self._reuse = reuse
-        elif n and n <= _VEC_BUILD_MAX:
+        if n and n <= _VEC_BUILD_MAX:
             nxt = np.full(n, n, dtype=np.int64)
             nxt[order[:-1]] = np.where(same, order[1:], n)
             self._prev = prev
@@ -400,6 +417,23 @@ class SequenceKernel(_KernelOps):
                         x += x & -x
             self._prev = prev
             self._reuse = np.array(reuse_l, dtype=np.int64)
+        self._bind()
+
+    def _bind(self) -> None:
+        """Cache the compiled probe's view of the (immutable) columns."""
+        self._stop = self._n
+        if self._ops is not None:
+            self._pp = address(self._prev)
+            self._rp = address(self._reuse)
+
+    def window(self) -> Tuple[int, int, int, int]:
+        """The compiled loops' view of the columns, as four ints.
+
+        The prev and reuse addresses, the global position of column row
+        0, and one past the last row.  The caller keeps the kernel alive
+        while it uses them.
+        """
+        return address(self._prev), address(self._reuse), 0, self._n
 
     @classmethod
     def from_precomputed(
@@ -418,10 +452,10 @@ class SequenceKernel(_KernelOps):
         self._prev_list = None
         self._reuse_list = None
         self._ops = _active_native()
-        self._hand = None
         self._n = len(prev)
         self._prev = np.ascontiguousarray(prev, dtype=np.int64)
         self._reuse = np.ascontiguousarray(reuse, dtype=np.int64)
+        self._bind()
         return self
 
     def __len__(self) -> int:
@@ -649,14 +683,24 @@ class StreamKernel(_KernelOps):
     """Incremental reuse-distance kernel over a stream of chunks.
 
     ``prev_occ``/``reuse_dist`` only ever look backwards, so appending a
-    chunk can never change an already-swept row: :meth:`append`
-    concatenates the chunk onto the retained window and runs the same
-    vectorized build :class:`SequenceKernel` uses, restricted to the new
-    suffix — O(window) numpy work per chunk instead of O(log window)
-    Python work per request.  :meth:`compact` drops the already-served
-    prefix (the stream engine never starts a box before its execution
-    position), so resident state stays proportional to the active
-    window — the same bound the chunked reference path guarantees.
+    chunk can never change an already-swept row, and :meth:`compact`
+    drops the already-served prefix (the stream engine never starts a
+    box before its execution position), so resident state stays
+    proportional to the active window.
+
+    On the numpy tier :meth:`append` concatenates the chunk onto the
+    retained window and runs the vectorized build :class:`SequenceKernel`
+    uses, restricted to the new suffix, and :meth:`compact` copies the
+    retained rows out.  On the native tier the window lives in buffers
+    the kernel owns and grows — page, prev and reuse columns, a Fenwick
+    tree and a page table, laid out on ``repro_stream_append`` — and
+    :meth:`append` is one compiled call doing O(chunk) work, amortized:
+    it moves the retained rows to the front only when the chunk does not
+    fit behind them, which the compactions before it pay for, and
+    :meth:`compact` only moves the window's start.  There the columns
+    hold global previous-occurrence positions, so :meth:`box` probes the
+    buffers in place, and :meth:`window` hands them to the compiled
+    DET-PAR loop.
 
     Local coordinates: position 0 is the oldest retained request;
     ``base`` is its global stream index.  Boxes must start at or after
@@ -665,23 +709,25 @@ class StreamKernel(_KernelOps):
 
     __slots__ = (
         "_window", "_prev", "_reuse", "_n", "base",
-        "_prev_list", "_reuse_list", "_ops", "_hand",
+        "_prev_list", "_reuse_list", "_ops",
+        "_buf", "_addr", "_pp", "_rp", "_origin", "_stop", "_sealed",
     )
 
     def __init__(self) -> None:
-        self._window = np.empty(0, dtype=np.int64)
-        self._prev = np.empty(0, dtype=np.int64)
-        self._reuse = np.empty(0, dtype=np.int64)
+        self._window = self._prev = self._reuse = np.empty(0, dtype=np.int64)
         self._n = 0
         self.base = 0
         self._ops = _active_native()
-        self._hand = None
-        # plain-int mirrors of _prev/_reuse for the scalar short-box
-        # walk; built lazily on the first box, then maintained
+        # plain-int mirrors of _prev/_reuse for the numpy tier's scalar
+        # short-box walk; built lazily on the first box, then maintained
         # incrementally (append extends, compact re-slices) — appended
         # rows never change, so the extension is exact
         self._prev_list: Optional[List[int]] = None
         self._reuse_list: Optional[List[int]] = None
+        if self._ops is not None:
+            self._buf = np.zeros(_WIN_HEADER, dtype=np.int64)  # capacity 0
+            self._addr = self._pp = self._rp = self._origin = self._stop = 0
+            self._sealed = False
 
     def __len__(self) -> int:
         return self._n
@@ -691,12 +737,48 @@ class StreamKernel(_KernelOps):
         """Global index one past the last swept request."""
         return self.base + self._n
 
+    def _column(self, c: int) -> np.ndarray:
+        """Native tier: the retained rows of column ``c`` (0 prev, 1 reuse,
+        2 page) of the window block."""
+        buf = self._buf
+        off, cap = int(buf[1]), int(buf[3])
+        lo = _WIN_HEADER + c * cap + off
+        return buf[lo : lo + self._n]
+
+    @property
+    def prev_occ(self) -> np.ndarray:
+        """Previous-occurrence offset per retained row, in local
+        coordinates; negative when no retained row is its previous
+        occurrence."""
+        if self._ops is None:
+            return self._prev
+        return self._column(0) - self.base
+
+    @property
+    def reuse_dist(self) -> np.ndarray:
+        """Distinct pages since the previous occurrence, per retained row."""
+        if self._ops is None:
+            return self._reuse
+        return self._column(1).copy()
+
+    def window(self) -> Tuple[int, int, int, int]:
+        """The compiled loops' view of the native-tier block, as four ints.
+
+        The prev and reuse addresses, the global position of column row
+        0, and one past the last swept request.  Valid until the next
+        append or seal.
+        """
+        return self._pp, self._rp, self._origin, self.base + self._n
+
     def append(self, chunk: np.ndarray) -> None:
         """Sweep one more chunk of the stream into the kernel."""
         arr = np.ascontiguousarray(chunk, dtype=np.int64)
         if arr.ndim != 1:
             raise ValueError("chunks must be 1-D request arrays")
         if len(arr) == 0:
+            return
+        if self._ops is not None:
+            self._append_native(arr)
             return
         old = self._n
         window = np.concatenate([self._window, arr]) if old else arr.copy()
@@ -709,26 +791,88 @@ class StreamKernel(_KernelOps):
         order = np.argsort(window, kind="stable")
         same = window[order[1:]] == window[order[:-1]]
         prev[order[1:]] = np.where(same, order[:-1], -1)
-        ops = self._ops
-        if ops is not None:
-            # compiled Fenwick sweep: rows [0, old) feed their tree marks
-            # but only the appended suffix is written
-            reuse = np.empty(n, dtype=np.int64)
-            ops.reuse_sweep(prev, old, n, _COLD, np.zeros(n + 1, dtype=np.int64), n, reuse)
-        else:
-            nxt = np.full(n, n, dtype=np.int64)
-            nxt[order[:-1]] = np.where(same, order[1:], n)
-            reuse = _reuse_vectorized(prev, nxt, n, start=old)
+        nxt = np.full(n, n, dtype=np.int64)
+        nxt[order[:-1]] = np.where(same, order[1:], n)
+        reuse = _reuse_vectorized(prev, nxt, n, start=old)
         # already-swept rows keep their stored values (they cannot change)
         reuse[:old] = self._reuse
         self._window = window
         self._prev = prev
         self._reuse = reuse
         self._n = n
-        self._hand = None  # prepared probe handle points at the old arrays
         if self._prev_list is not None:
             self._prev_list.extend(prev[old:].tolist())
             self._reuse_list.extend(reuse[old:].tolist())
+
+    def seal(self) -> None:
+        """Declare that the stream has ended: no chunk follows.
+
+        On the native tier this drops the page column, tree and table,
+        which only appends read, and keeps the prev and reuse columns
+        that boxes probe; a no-op on the numpy tier.
+        """
+        if self._ops is None or self._sealed:
+            return
+        n = self._n
+        buf = self._buf
+        off, cap = int(buf[1]), int(buf[3])
+        for c in (0, 1):  # each column moves down, clear of the other's rows
+            src, dst = _WIN_HEADER + c * cap + off, _WIN_HEADER + c * n
+            if src != dst:
+                buf[dst : dst + n] = buf[src : src + n]
+        buf[:_WIN_HEADER] = self.base, 0, n, n, 0, 0, 0
+        buf.resize(_WIN_HEADER + 2 * n, refcheck=False)  # shrinks in place
+        self._sealed = True
+        self._adopt(buf)
+
+    def _append_native(self, arr: np.ndarray) -> None:
+        if self._sealed:
+            raise ValueError("chunk appended to a sealed stream")
+        buf = self._buf
+        n = self._n
+        need = n + len(arr)
+        off, cap = int(buf[1]), int(buf[3])
+        if off + need > cap and (need > cap or off < n):
+            # no room behind the window, and moving it to the front would
+            # copy more rows than it frees: grow geometrically (a first
+            # chunk fits exactly, as a short column is often one chunk)
+            cap = max(cap + cap // 2, need)
+            self._grow(cap, int(buf[4]) or max(_WIN_TABLE_BITS, (len(arr) // 8).bit_length()))
+        while self._ops.stream_append(self._addr, arr):
+            self._grow(cap, int(self._buf[4]) + 1)  # table passed half full
+        self._n = need
+        self._origin = int(self._buf[0])
+        self._stop = int(self._buf[1]) + need
+
+    def _grow(self, cap: int, bits: int) -> None:
+        """Re-lay the block for ``cap`` rows and ``2**bits`` table slots,
+        with the retained rows at the front of each column; the next
+        append rebuilds the tree and table.
+
+        The block grows in place (``realloc``), so the old and the new
+        block are never both held.  Nothing else references it: the
+        views :meth:`_column` hands out are consumed on the spot.
+        """
+        n = self._n
+        buf = self._buf
+        off, old_cap = int(buf[1]), int(buf[3])
+        buf.resize(_WIN_HEADER + 4 * cap + 1 + (1 << bits), refcheck=False)
+        # last column first: with cap >= old_cap no destination overlaps
+        # a source not yet moved (within a column numpy handles overlap)
+        for c in (2, 1, 0) if n else ():
+            src, dst = _WIN_HEADER + c * old_cap + off, _WIN_HEADER + c * cap
+            buf[dst : dst + n] = buf[src : src + n]
+        buf[:_WIN_HEADER] = self.base, 0, n, cap, bits, 0, 1
+        self._adopt(buf)
+
+    def _adopt(self, buf: np.ndarray) -> None:
+        """Take ``buf`` as the window block and cache its column addresses."""
+        self._buf = buf
+        self._addr = address(buf)
+        self._pp = self._addr + 8 * _WIN_HEADER
+        self._rp = self._pp + 8 * int(buf[3])
+        self._origin = self.base
+        self._stop = self._n
 
     # bound here as well as inherited, like ``SequenceKernel.box``
     box = _KernelOps.box
@@ -745,13 +889,17 @@ class StreamKernel(_KernelOps):
             return
         if d > self._n:
             raise ValueError(f"cannot compact past swept prefix ({upto} > {self.end})")
+        self._n -= d
+        self.base += d
+        if self._ops is not None:
+            # O(1): the next append that needs the room reclaims it
+            self._buf[1] += d
+            self._buf[2] -= d
+            return
         # copies, not views: a view would pin the pre-compact arrays
         self._window = self._window[d:].copy()
         self._prev = self._prev[d:] - d
         self._reuse = self._reuse[d:].copy()
-        self._n -= d
-        self.base += d
-        self._hand = None
         if self._prev_list is not None:
             # dropped previous occurrences go negative, exactly like the
             # array form above — the box predicate masks them as cold

@@ -11,8 +11,10 @@ without re-running the simulation.
 This module also owns :class:`EventScheduler`, the deterministic min-heap
 event queue that drives the box simulators in :mod:`repro.parallel`:
 DET-PAR's segment/strip events and the black-box packing loop pop from
-the same structure, so their tie-breaking is defined in one place.
-GLOBAL-LRU does not use it.  It schedules one event per simulated
+the same structure, so their tie-breaking is defined in one place.  On
+the native kernel tier DET-PAR runs compiled instead
+(:mod:`repro.core.det_par`), over its own heap of events that pop in
+the same ``(time, push order)``.  GLOBAL-LRU does not use it.  It schedules one event per simulated
 request — one pending completion per processor, never cancelled — so
 it keeps a bare heap of ``(time, processor)`` keys, which pops the
 same ``(time, priority=processor)`` order without the per-event token,

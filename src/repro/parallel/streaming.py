@@ -5,11 +5,12 @@ wraps a :class:`repro.traces.TraceStore` without materializing any request
 column; each processor's requests reach the simulator chunk-by-chunk
 through a :class:`BoxFeed`, which sweeps them into an incremental
 :class:`repro.paging.kernel.StreamKernel` just ahead of the execution
-position and compacts the served prefix behind it (amortized, so the
-rebuild cost stays O(1) per request).  Resident state per processor is
-therefore bounded by a small multiple of the largest single box budget
-plus one store chunk — independent of trace length — while every box is
-still evaluated at kernel speed.
+position and compacts the served prefix behind it each time it appends.
+Resident state per processor is therefore bounded by the largest single
+box budget plus one store chunk — independent of trace length — while
+every box is still evaluated at kernel speed.  On the native tier the
+compiled DET-PAR loop probes the same windows in place and returns to
+python only when a box runs past one (:meth:`BoxFeed.ensure`).
 
 The serving indirection is :func:`make_box_server`: every box algorithm
 (RAND-PAR, DET-PAR, black-box packing) asks the server to run a box for a
@@ -144,20 +145,26 @@ class BoxFeed:
 
     ``serve`` appends just enough chunks to cover the box budget (a box
     with time budget ``d`` serves at most ``d`` requests, since a hit
-    costs one step), evaluates the box on the :class:`StreamKernel` in
-    global coordinates, then compacts the served prefix behind the
-    execution position.  Compaction is amortized: the O(window) rebuild
-    only runs once the served prefix outweighs the live tail, so each
-    retained row pays O(1) compaction work overall.  Peak retained rows
-    per feed are therefore bounded by twice ``max box budget + chunk
-    rows``, independent of column length.
+    costs one step), then evaluates the box on the :class:`StreamKernel`
+    in global coordinates.  The compiled DET-PAR loop reads the same
+    window through :meth:`StreamKernel.window`, and calls :meth:`ensure`
+    when a box runs past it.
+
+    ``position`` is the processor's execution position: no future box
+    starts before it.  The feed compacts the window up to it whenever it
+    appends a chunk, and only then: an append already costs O(window) on
+    the numpy tier, and the compiled window compacts in O(1).  A box
+    with budget ``d`` needs the window to reach ``d`` rows past the
+    position, so peak retained rows per feed are bounded by ``max box
+    budget + chunk rows``, independent of column length.
     """
 
-    __slots__ = ("kernel", "length", "_chunks", "_exhausted", "_covered")
+    __slots__ = ("kernel", "length", "position", "_chunks", "_exhausted", "_covered")
 
     def __init__(self, chunks: Iterator[np.ndarray], length: int) -> None:
         self.kernel = StreamKernel()
         self.length = int(length)
+        self.position = 0
         self._chunks = chunks
         self._exhausted = False
         self._covered = 0  # kernel.end mirror: append-coverage fast path
@@ -165,16 +172,22 @@ class BoxFeed:
     def ensure(self, upto: int) -> None:
         """Sweep chunks until the kernel covers global position ``upto``."""
         target = min(int(upto), self.length)
-        while self.kernel.end < target and not self._exhausted:
+        kernel = self.kernel
+        while kernel.end < target and not self._exhausted:
             try:
-                self.kernel.append(next(self._chunks))
+                chunk = next(self._chunks)
             except StopIteration:
                 self._exhausted = True
-        if self.kernel.end < target:
+                break
+            kernel.compact(self.position)
+            kernel.append(chunk)
+        if kernel.end < target:
             raise ValueError(
-                f"stream ended at {self.kernel.end} before declared length {self.length}"
+                f"stream ended at {kernel.end} before declared length {self.length}"
             )
-        self._covered = self.kernel.end
+        if kernel.end == self.length:
+            kernel.seal()  # the column is swept: free what only appends use
+        self._covered = kernel.end
 
     def serve(self, pos: int, height: int, budget: int, miss_cost: int) -> BoxRun:
         """Run one box at ``pos``; returns the bit-identical ``BoxRun``.
@@ -188,13 +201,9 @@ class BoxFeed:
         if upto > self.length:
             upto = self.length  # a fully swept column never re-enters ensure
         if self._covered < upto:
+            self.position = pos
             self.ensure(upto)
-        kernel = self.kernel
-        run = kernel.box(pos, height, budget, miss_cost)
-        dead = run.end - kernel.base
-        if dead > 0 and dead >= len(kernel) - dead:
-            kernel.compact(run.end)
-        return run
+        return self.kernel.box(pos, height, budget, miss_cost)
 
     @property
     def resident_rows(self) -> int:

@@ -18,9 +18,11 @@ content-addressed result-cache keys.
 
 Writes are atomic (temp file + ``os.replace``) and streaming: a
 :class:`StoreWriter` spools appends per processor to disk, so traces far
-larger than RAM import with bounded memory.  Reads are zero-copy: columns
-come back as read-only ``np.memmap`` slices, and :meth:`TraceStore.iter_chunks`
-feeds the streaming simulators and statistics chunk by chunk.
+larger than RAM import with bounded memory, while :func:`write_store`
+hands it in-memory columns whole, with no spool file at all.  Reads are
+zero-copy: columns come back as read-only views of one memory map, and
+:meth:`TraceStore.iter_chunks` feeds the streaming simulators and
+statistics chunk by chunk.
 """
 
 from __future__ import annotations
@@ -135,7 +137,9 @@ class StoreWriter:
     """Streaming trace-store writer with bounded memory.
 
     Append int64 page-id blocks per processor in any interleaving; blocks
-    spool to per-processor temp files, so nothing is held in RAM.  ``close``
+    spool to per-processor temp files, so nothing is held in RAM.  A
+    column that is already in memory is handed over whole instead
+    (:func:`write_store` does), which needs no spool file.  ``close``
     assembles the final store atomically (digest pass, header, data copy,
     ``os.replace``) and returns the opened :class:`TraceStore`.  Use as a
     context manager to guarantee spool cleanup on error.
@@ -160,8 +164,9 @@ class StoreWriter:
         self.chunk_rows = int(chunk_rows)
         self.chunk_algo = chunk_algo or _FAST_CHUNK_ALGO or "sha256"
         self.dest.parent.mkdir(parents=True, exist_ok=True)
-        self._spool_dir = Path(tempfile.mkdtemp(dir=self.dest.parent, prefix=".trc-spool-"))
+        self._spool_dir: Optional[Path] = None  # made by the first append
         self._spools: Dict[int, Any] = {}
+        self._held: Dict[int, np.ndarray] = {}  # whole in-memory columns
         self._rows: Dict[int, int] = {}
         self._min_p = int(p) if p is not None else 0
         self._closed = False
@@ -178,10 +183,26 @@ class StoreWriter:
     def _spool(self, proc: int):
         fh = self._spools.get(proc)
         if fh is None:
+            if proc in self._held:
+                raise ValueError(f"processor {proc}'s column was already written whole")
+            if self._spool_dir is None:
+                self._spool_dir = Path(tempfile.mkdtemp(dir=self.dest.parent, prefix=".trc-spool-"))
             fh = (self._spool_dir / f"col-{proc}.raw").open("wb")
             self._spools[proc] = fh
             self._rows[proc] = 0
         return fh
+
+    def _hold(self, proc: int, column: np.ndarray) -> None:
+        """Take processor ``proc``'s whole column from memory, by reference."""
+        if self._closed:
+            raise RuntimeError("writer is closed")
+        if proc in self._rows:
+            raise ValueError(f"processor {proc}'s column was already started")
+        arr = np.ascontiguousarray(column, dtype=_DTYPE)
+        if arr.ndim != 1:
+            raise ValueError("page blocks must be 1-D")
+        self._held[proc] = arr
+        self._rows[proc] = len(arr)
 
     def append(self, proc: int, pages: np.ndarray) -> None:
         """Append a block of page ids to processor ``proc``'s column."""
@@ -201,11 +222,14 @@ class StoreWriter:
     def abort(self) -> None:
         """Discard all spooled data (best-effort cleanup)."""
         self._closed = True
+        self._held.clear()
         for fh in self._spools.values():
             try:
                 fh.close()
             except OSError:
                 pass
+        if self._spool_dir is None:
+            return
         try:
             for f in self._spool_dir.glob("*"):
                 try:
@@ -216,11 +240,16 @@ class StoreWriter:
         except OSError:
             pass
 
-    def _iter_spool_chunks(self, proc: int) -> Iterator[np.ndarray]:
-        path = self._spool_dir / f"col-{proc}.raw"
-        if not path.exists():
+    def _iter_chunks(self, proc: int) -> Iterator[np.ndarray]:
+        """Processor ``proc``'s column in ``chunk_rows`` pieces."""
+        held = self._held.get(proc)
+        if held is not None:
+            for start in range(0, len(held), self.chunk_rows):
+                yield held[start : start + self.chunk_rows]
             return
-        with path.open("rb") as fh:
+        if proc not in self._spools:
+            return
+        with (self._spool_dir / f"col-{proc}.raw").open("rb") as fh:
             while True:
                 buf = fh.read(self.chunk_rows * _ROW_BYTES)
                 if not buf:
@@ -233,7 +262,7 @@ class StoreWriter:
             raise RuntimeError("writer is closed")
         for fh in self._spools.values():
             fh.close()
-        p = max(max(self._spools) + 1 if self._spools else 0, self._min_p)
+        p = max(max(self._rows) + 1 if self._rows else 0, self._min_p)
         # pass 1: digests + disjointness (memory: O(distinct pages))
         content = hashlib.sha256(b"repro-workload-v1")
         content.update(str(p).encode())
@@ -244,7 +273,7 @@ class StoreWriter:
             rows = self._rows.get(proc, 0)
             content.update(str(rows).encode())
             chunks: List[Dict[str, Any]] = []
-            for chunk in self._iter_spool_chunks(proc):
+            for chunk in self._iter_chunks(proc):
                 raw = chunk.tobytes()
                 content.update(raw)
                 hasher = _chunk_hasher(self.chunk_algo)
@@ -288,9 +317,10 @@ class StoreWriter:
                 out.write(header_bytes)
                 out.write(b"\x00" * pad)
                 for proc in range(p):
-                    spool = self._spool_dir / f"col-{proc}.raw"
-                    if spool.exists():
-                        with spool.open("rb") as src:
+                    if proc in self._held:
+                        out.write(self._held[proc].data)
+                    elif proc in self._spools:
+                        with (self._spool_dir / f"col-{proc}.raw").open("rb") as src:
                             while True:
                                 buf = src.read(1 << 20)
                                 if not buf:
@@ -337,8 +367,7 @@ def write_store(
         chunk_algo=chunk_algo,
     ) as writer:
         for proc, seq in enumerate(workload.sequences):
-            for start in range(0, len(seq), chunk_rows):
-                writer.append(proc, seq[start : start + chunk_rows])
+            writer._hold(proc, seq)
         return writer.close()
 
 
@@ -505,13 +534,15 @@ class TraceStore:
             if self.nbytes == 0:
                 self._mm = np.asarray([], dtype=np.int64)
             else:
+                # a plain ndarray over the map (which its base keeps open):
+                # slicing a memmap subclass runs python hooks per chunk
                 self._mm = np.memmap(
                     self.path,
                     dtype=_DTYPE,
                     mode="r",
                     offset=self._data_start,
                     shape=(self.nbytes // _ROW_BYTES,),
-                )
+                ).view(np.ndarray)
         return self._mm
 
     def column(self, proc: int) -> np.ndarray:

@@ -8,14 +8,15 @@ observable — box endpoints, hit/fault splits, DP distances and parents —
 must equal the numpy fast path and the dict-LRU reference bit for bit.
 These tests pin that three-way equivalence property-style (random boxes,
 the offline DP on non-power-of-two lattices, streamed chunk appends with
-compaction) plus the operational surface: backend selection, the
-no-compiler fallback (a failed build), and the checks on the shared
-build cache.
+compaction, the compiled append's columns) plus the operational surface:
+backend selection, the no-compiler fallback (a failed build), and the
+checks on the shared build cache.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 from contextlib import contextmanager
 
@@ -198,11 +199,11 @@ class TestBuildCache:
 
     @staticmethod
     def _usable(ops):
-        arr = np.asarray([0, 1, 0, 2, 1, 0], dtype=np.int64)
-        reuse = np.empty(len(arr), dtype=np.int64)
+        # the columns of [0, 1, 0, 2, 1, 0]; a height-3 box from 0 hits
+        # rows 2, 4 and 5 and misses the rest at cost 5
         prev = np.asarray([-1, -1, 0, -1, 1, 2], dtype=np.int64)
-        ops.reuse_sweep(prev, 0, len(arr), 99, np.zeros(len(arr) + 1, dtype=np.int64), len(arr), reuse)
-        return reuse.tolist() == [99, 99, 1, 99, 2, 2]
+        reuse = np.asarray([99, 99, 1, 99, 2, 2], dtype=np.int64)
+        return ops.box_probe(prev.ctypes.data, reuse.ctypes.data, 0, 6, 0, 3, 100, 5) == [6, 3, 18]
 
     @requires_native
     def test_fresh_cache_dir_is_private(self, probe, tmp_path):
@@ -337,6 +338,49 @@ def test_native_stream_kernel_identical_across_chunked_appends(
                 mid = sk.base + (sk.end - sk.base) // 2
                 sk.compact(mid)
             return runs
+
+    assert play("native") == play("fast")
+
+
+@requires_native
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=0, max_value=400),
+    pages=st.integers(min_value=1, max_value=60),
+    chunks=st.lists(
+        st.sampled_from([1, 2, 7, 64, 300]) | st.integers(min_value=1, max_value=70),
+        min_size=1,
+        max_size=10,
+    ),
+    cuts=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=10),
+)
+@settings(max_examples=150, deadline=None)
+def test_compiled_append_builds_the_numpy_columns(seed, n, pages, chunks, cuts):
+    """``repro_stream_append`` against the numpy window, column by column.
+
+    Random chunks with compactions in between, including whole-window
+    compactions, page tables that must grow mid-chunk, and moves of the
+    retained rows to the front of the block: after every append, the
+    retained rows' reuse distances are equal, and so are their previous
+    occurrences, where a negative offset (none retained) counts as -1.
+    The sequence is drawn from a seed, not as a list, so that examples
+    run long enough to grow and move the block.
+    """
+    arr = np.random.default_rng(seed).integers(0, pages, size=n).astype(np.int64)
+
+    def play(backend_name):
+        with backend(backend_name):
+            sk = StreamKernel()
+            columns = []
+            i = 0
+            for step, cut in zip(itertools.cycle(chunks), itertools.cycle(cuts)):
+                if i >= len(arr):
+                    break
+                sk.append(arr[i : i + step])
+                i += step
+                columns.append((sk.base, np.maximum(sk.prev_occ, -1).tolist(), sk.reuse_dist.tolist()))
+                sk.compact(sk.base + int(cut * len(sk)))
+            return columns
 
     assert play("native") == play("fast")
 

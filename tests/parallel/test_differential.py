@@ -82,7 +82,7 @@ def drop_stream_counters(snap):
 
 def trace_tuples(res):
     return [
-        (r.proc, r.height, r.start, r.end, r.served_start, r.served_end, r.hits, r.faults, r.tag)
+        (r.proc, r.height, r.start, r.end, r.served_start, r.served_end, r.hits, r.faults, r.phase, r.tag)
         for r in res.trace
     ]
 
@@ -97,6 +97,9 @@ def assert_identical(a, b, ctx=""):
     assert a.makespan == b.makespan, ctx
     if a.algorithm == "global-lru":
         assert a.meta == b.meta, f"{ctx}: hit/fault counts differ"
+    if a.algorithm == "det-par":
+        # phases are dataclasses, so they compare field by field
+        assert a.meta == b.meta, f"{ctx}: phases, rebuild times or reserved peak differ"
 
 
 def feasible(alg, k, p):

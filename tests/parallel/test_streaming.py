@@ -95,8 +95,8 @@ class TestBoxFeed:
             pos = got.end if got.end > pos else pos + 1
 
     def test_resident_rows_bounded_by_budget_plus_chunk(self, stored):
-        # amortized compaction keeps at most one live window of dead
-        # prefix around, so the bound is twice (budget + chunk rows)
+        # every append first compacts up to the box start, and appends stop
+        # once the window reaches the budget: budget + chunk rows at most
         wl, store = stored
         sw = open_streaming(store)
         feed = BoxFeed(sw.chunks(0), sw.lengths[0])
@@ -107,7 +107,7 @@ class TestBoxFeed:
             r = feed.serve(pos, 8, budget, 4)
             peak = max(peak, feed.resident_rows)
             pos = r.end if r.end > pos else pos + 1
-        assert peak <= 2 * (budget + chunk_rows)
+        assert peak <= budget + chunk_rows
 
     def test_fully_swept_short_column_skips_ensure(self, monkeypatch):
         # one chunk holds the whole column; once it is swept, boxes whose

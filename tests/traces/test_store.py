@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import json
+import os
 import pickle
 import struct
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.exec import workload_fingerprint
 from repro.traces import (
     MAGIC,
@@ -252,3 +258,45 @@ class TestWriterHygiene:
             store = writer.close()
         assert store.p == 4
         assert store.lengths == (0, 2, 0, 0)
+
+    def test_interleaved_unaligned_appends_equal_write_store(self, tmp_path):
+        # spooled appends whose blocks straddle chunk boundaries, written in
+        # any interleaving, give the bytes of the whole-column path
+        wl = workload(p=4, n=500)
+        rng = np.random.default_rng(3)
+        cursors = [0] * wl.p
+        with StoreWriter(tmp_path / "spooled.trc", name=wl.name, meta=wl.meta, chunk_rows=64) as writer:
+            while any(c < len(seq) for c, seq in zip(cursors, wl.sequences)):
+                proc = int(rng.integers(wl.p))
+                step = int(rng.integers(1, 150))
+                writer.append(proc, wl.sequences[proc][cursors[proc] : cursors[proc] + step])
+                cursors[proc] += step
+            writer.close()
+        write_store(tmp_path / "whole.trc", wl, chunk_rows=64)
+        assert (tmp_path / "spooled.trc").read_bytes() == (tmp_path / "whole.trc").read_bytes()
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX descriptor limits")
+    def test_write_store_holds_no_file_per_processor(self, tmp_path):
+        # a p=200 store under a 64-descriptor limit: whole in-memory
+        # columns need no spool file, so the write cannot run out of them
+        script = textwrap.dedent(
+            """
+            import resource, sys
+            import numpy as np
+            from repro.traces import TraceStore, write_store
+            from repro.workloads import ParallelWorkload
+
+            hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]
+            resource.setrlimit(resource.RLIMIT_NOFILE, (64, hard))
+            seqs = [np.arange(9, dtype=np.int64) % 4 + 8 * i for i in range(200)]
+            write_store(sys.argv[1], ParallelWorkload(sequences=seqs, name="wide"), chunk_rows=4)
+            assert TraceStore(sys.argv[1]).verify()
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "wide.trc")],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert [p.name for p in tmp_path.iterdir()] == ["wide.trc"]

@@ -203,7 +203,8 @@ the compiled `native` tier below is the default:
   processor), so DP solves, schedulers, and replicated experiment
   cells on the same sequence share one precompute.  `StreamKernel`
   extends the sweep incrementally for chunked trace streaming, with
-  `compact()` keeping only the active window resident.
+  `compact()` keeping only the active window resident and `seal()`
+  dropping what only appends need once the stream has ended.
 - **Escape hatch.** `REPRO_KERNEL=reference` routes every threaded
   call site back to the dict-LRU loop, which is retained as the
   cross-check oracle; `tests/paging/test_kernel.py` pins bit-identical
@@ -212,11 +213,12 @@ the compiled `native` tier below is the default:
 
 ## Native kernel
 
-The `native` kernel tier compiles four inner loops — the
+The `native` kernel tier compiles five inner loops — the
 reuse-distance sweep, the per-box service walk, the offline DP
-relaxation, and GLOBAL-LRU's shared-cache event loop — to machine code,
-keeping the numpy fast path (for GLOBAL-LRU, the python event loop) and
-the dict-LRU reference as bit-identical oracles below it:
+relaxation, GLOBAL-LRU's shared-cache event loop and DET-PAR's event
+loop — to machine code, keeping the numpy fast path (for the event
+loops, the python loops) and the dict-LRU reference as bit-identical
+oracles below it:
 
 - **The default, with one fallback.** With `$REPRO_KERNEL` unset,
   `kernel_backend()` resolves to `native` whenever
@@ -238,16 +240,38 @@ the dict-LRU reference as bit-identical oracles below it:
   with a `RuntimeWarning`, and nothing in the rejected directory is
   loaded.  Builds compile in a private scratch directory and land with
   an atomic rename, so concurrent builds never see a torn file.
+- **One sweep, in place.** The compiled sweep is the streaming
+  window's append: a `StreamKernel` keeps its prev, reuse and page
+  columns, a Fenwick tree and a page table in one block it owns and
+  grows in place, appends a chunk in O(chunk) work (amortized), and
+  compacts in O(1).  A `SequenceKernel` is one such append of the whole
+  sequence.  Box probes read the columns in place, with no per-call
+  marshalling.
+- **Resumable event loops.** GLOBAL-LRU and DET-PAR run as C loops over
+  state arrays their python callers own, taking the compiled path when
+  `REPRO_SIM` is `event` and the tier is native.  DET-PAR's loop covers
+  segment ends and strip slots in `(time, push order)`, stale skips,
+  round-robin strips and the phase-end finalize; it hands back to
+  python, before it changes any state of the step, when a box runs past
+  a processor's stream window (python pulls chunks), when a phase
+  ends (python plans the next one) and when its record buffer
+  fills.  The C code keeps no static state, so threads may run loops
+  side by side.
 - **Exactness is the only contract.** Box endpoints, hit/fault splits,
-  DP distances and parents (including tie-breaks), and
-  GLOBAL-LRU completion times, hits, faults and evictions must equal
+  DP distances and parents (including tie-breaks),
+  GLOBAL-LRU completion times, hits, faults and evictions, and
+  DET-PAR completions, box traces and phases must equal
   the fast and reference tiers bit for bit;
   `tests/paging/test_native.py` pins the three-way equivalence
   property-style on random boxes, streamed chunked appends with
-  compaction, and the offline DP on non-power-of-two `(k, p)` lattices,
-  and `tests/parallel/test_timestep.py` holds the compiled GLOBAL-LRU
+  compaction (column by column against the numpy window), and the
+  offline DP on non-power-of-two `(k, p)` lattices;
+  `tests/parallel/test_timestep.py` holds the compiled GLOBAL-LRU
   loop to the python loop and the rescan on drawn workloads, streamed
-  in chunks as small as one row.
+  in chunks as small as one row, and
+  `tests/parallel/test_det_par_native.py` does the same for DET-PAR.
+  A CI job runs the kernel, simulator, green and core suites against a
+  build with AddressSanitizer and UBSan.
   `benchmarks/bench_kernel.py` times all three tiers on the same arms
   and fails if the compiled tier loses to numpy (`BENCH_kernel.json`
   records the measured ratios; the DP arm runs ~34× faster under the
@@ -307,9 +331,11 @@ byte-identical oracle:
   the largest box budget plus one store chunk, independent of trace
   length (`benchmarks/bench_stream.py` proves it with `tracemalloc` on
   a million-request, 1024-processor run).  GLOBAL-LRU's compiled loop
-  takes one store chunk at a time and returns to fetch the next; its
-  python loops stream through `request_feed`, one plain-int list per
-  chunk.
+  takes one store chunk at a time and returns to fetch the next, and
+  DET-PAR's returns when a box runs past a processor's window; their
+  python loops stream through `request_feed` and the box server.
+  `write_store` hands in-memory columns to the writer whole, so it
+  opens no file per processor.
   `repro run --trace <ref> --stream` selects the path from the CLI;
   `sim.traces.*` counters record the chunk traffic.
 - **Differential lockdown.** `REPRO_SIM=reference` routes every
