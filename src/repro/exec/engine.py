@@ -28,6 +28,7 @@ scopes a configured engine with the :func:`execution` context manager::
 
 from __future__ import annotations
 
+import gc
 import heapq
 import os
 import time
@@ -120,7 +121,11 @@ class ExecutionEngine:
     def _make_pool(self, max_workers: int):
         import concurrent.futures
 
-        return concurrent.futures.ProcessPoolExecutor(max_workers=max_workers)
+        # A forked worker starts with the parent's whole heap.  Freezing
+        # it there keeps the worker's full collections off those objects,
+        # which they would otherwise walk and copy-on-write page by page,
+        # at a cost that grows with the parent's heap and the host's load.
+        return concurrent.futures.ProcessPoolExecutor(max_workers=max_workers, initializer=gc.freeze)
 
     # ------------------------------------------------------------------ #
     # execution

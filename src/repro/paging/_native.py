@@ -1,7 +1,7 @@
 """Compiled kernel primitives: the production kernel tier.
 
 The numpy fast path (:mod:`repro.paging.kernel`) already amortizes the
-reuse-distance precompute, but five inner loops remain bound by python
+reuse-distance precompute, but six inner loops remain bound by python
 or by O(window) vectorized work per probe:
 
 * the reuse-distance sweep (a python Fenwick loop beyond the vectorized
@@ -16,9 +16,14 @@ or by O(window) vectorized work per probe:
 * the offline green DP relaxation (a python ``zip`` loop over every
   reachable position × ladder level),
 * GLOBAL-LRU's shared-cache event loop (one python LRU touch and heap
-  step per request, :class:`repro.parallel.timestep.GlobalLRU`), and
+  step per request, :class:`repro.parallel.timestep.GlobalLRU`),
 * DET-PAR's event loop (one python heap step, segment and box record per
-  event, :class:`repro.core.det_par.DetPar`).
+  event, :class:`repro.core.det_par.DetPar`), and
+* Belady's MIN (one python dict probe and heap step per request,
+  :class:`repro.paging.belady.BeladySimulation`), under every certified
+  lower bound.  Compiled, it is one call per column
+  (``repro_min_run``) with its own page table and heap in scratch the
+  call allocates.
 
 Both event loops keep their state in int64 arrays the caller owns, so a
 call returns to the caller when it needs python — GLOBAL-LRU when a
@@ -33,16 +38,16 @@ the system C compiler (``$CC``, default ``cc``) into a content-addressed
 shared library and loads it through :mod:`ctypes` (no third-party
 dependency at all).  Every value it produces — reuse distances, box
 endpoints, DP distances and parent pointers, GLOBAL-LRU completion times
-and counts, DET-PAR's completions, box records and phases — is
-bit-identical to the numpy fast path (or python event loop) and to the
-reference.  With ``$REPRO_KERNEL`` unset the kernel
-runs on this tier whenever the library builds; when it cannot be built
-(no compiler) :func:`native_ops` returns ``None`` and the kernel falls
-back to the numpy fast path (see
-:func:`repro.paging.kernel.kernel_backend`).  Whether it builds is
-observed once per process, not chosen: ``REPRO_KERNEL=fast`` is how a
-caller pins the numpy tier, and ``CC=false`` with an empty cache is how
-CI simulates a host without a compiler.
+and counts, DET-PAR's completions, box records and phases, MIN's fault
+counts — is bit-identical to the numpy fast path (or python loop) and to
+the reference.  With ``$REPRO_KERNEL`` unset the kernel runs on this
+tier whenever the library builds; when it cannot be built (no compiler)
+:func:`native_ops` returns ``None`` and the kernel falls back to the
+numpy fast path (see :func:`repro.paging.kernel.kernel_backend`).
+Whether it builds is observed once per process, not chosen:
+``REPRO_KERNEL=fast`` is how a caller pins the numpy tier, and
+``CC=false`` with an empty cache is how CI simulates a host without a
+compiler.
 
 The library is cached per user in
 ``$REPRO_NATIVE_CACHE`` (default ``$TMPDIR/repro-native-<uid>``,
@@ -540,6 +545,62 @@ int64_t repro_detpar_run(int64_t *st, int64_t *heap, int64_t *proc,
         }
     }
 }
+
+/* Belady's MIN over one column (repro.paging.belady): the faults serving
+ * seq[0, n) with 1 <= cap <= n resident pages.  scratch holds n +
+ * max(2^bits, n + 1 + cap) words:
+ *   next   each request's next use, n = never
+ *   table  page -> its latest position (-1 = empty slot), 2^bits >= 2n
+ *          slots, linear probing; dead after the backward pass, its
+ *          words then hold
+ *   where  position -> heap index of the resident entry whose next use
+ *          it is (-1 = none), n + 1 entries, and
+ *   heap   a max-heap of the resident entries' next uses.
+ * A request hits when the entry its page's previous occurrence left is
+ * still resident; that entry's key then rises to the request's next use.
+ * A fault with a full cache replaces the root, the furthest next use.
+ * Next uses are distinct positions except n, and which never-again page
+ * goes first does not change the count. */
+int64_t repro_min_run(const int64_t *seq, int64_t n, int64_t cap, int64_t bits,
+                      int64_t *scratch) {
+    int64_t mask = ((int64_t)1 << bits) - 1, faults = 0, size = 0, i, j, x, c, key;
+    int64_t *next = scratch, *table = scratch + n, *where = table, *heap = table + n + 1;
+    for (j = 0; j <= mask; j++)
+        table[j] = -1;
+    for (i = n - 1; i >= 0; i--) {
+        for (j = WIN_HOME(seq[i]); table[j] >= 0 && seq[table[j]] != seq[i];)
+            j = (j + 1) & mask;
+        next[i] = table[j] >= 0 ? table[j] : n;
+        table[j] = i;
+    }
+    for (i = 0; i <= n; i++)
+        where[i] = -1;
+    for (i = 0; i < n; i++) {
+        key = next[i];
+        if ((x = where[i]) < 0) {
+            faults++;
+            if (size == cap) {  /* evict the root: key sinks from there */
+                where[heap[0]] = -1;
+                for (x = 0; (c = 2 * x + 1) < size; x = c) {
+                    c += c + 1 < size && heap[c + 1] > heap[c];
+                    if (heap[c] <= key)
+                        break;
+                    where[heap[x] = heap[c]] = x;
+                }
+                heap[x] = key;
+                where[key] = x;
+                continue;
+            }
+            x = size++;
+        }
+        /* a new entry at x, or entry x's key rose from i: key rises */
+        for (; x > 0 && heap[(x - 1) >> 1] < key; x = (x - 1) >> 1)
+            where[heap[x] = heap[(x - 1) >> 1]] = x;
+        heap[x] = key;
+        where[key] = x;
+    }
+    return faults;
+}
 """
 
 
@@ -585,6 +646,10 @@ class NativeOps:
     #: ``step``: DET-PAR's event loop bound to those state arrays (layout
     #: and return codes on ``repro_detpar_run``); ``step`` holds them alive.
     detpar_loop: Callable[..., Callable[[], int]]
+    #: ``min_faults(seq, capacity)`` -> Belady's MIN fault count over the
+    #: column ``seq`` (converted to contiguous int64) at ``capacity >= 1``
+    #: (``repro_min_run``, O(n log n) time, O(n) scratch words per call).
+    min_faults: Callable[..., int]
 
 
 # --------------------------------------------------------------------- #
@@ -682,11 +747,12 @@ def _cc_ops() -> Optional[NativeOps]:
         ("repro_stream_append", [p_i64, p_i64, c_i64, c_i64]),
         ("repro_lru_run", [c_i64, c_i64] + [p_i64] * 6),
         ("repro_detpar_run", [p_i64] * 7),
+        ("repro_min_run", [p_i64, c_i64, c_i64, c_i64, p_i64]),
     ):
         fn = getattr(lib, name)
         fn.argtypes = argtypes
         fn.restype = None
-    for name in ("repro_stream_append", "repro_lru_run", "repro_detpar_run"):
+    for name in ("repro_stream_append", "repro_lru_run", "repro_detpar_run", "repro_min_run"):
         getattr(lib, name).restype = c_i64
 
     ptr = address
@@ -729,12 +795,23 @@ def _cc_ops() -> Optional[NativeOps]:
     def detpar_loop(*state):
         return bind(lib.repro_detpar_run, state=state)
 
+    def min_faults(seq, capacity):
+        if capacity < 1:
+            raise ValueError(f"Belady capacity must be >= 1, got {capacity}")
+        col = np.ascontiguousarray(seq, dtype=np.int64)
+        n = col.size
+        cap = min(int(capacity), n)
+        bits = max(1, (2 * n - 1).bit_length())
+        scratch = np.empty(n + max(1 << bits, n + 1 + cap), dtype=np.int64)
+        return lib.repro_min_run(ptr(col), n, cap, bits, ptr(scratch))
+
     return NativeOps(
         dp_solve=dp_solve,
         box_probe=box_probe,
         stream_append=stream_append,
         lru_loop=lru_loop,
         detpar_loop=detpar_loop,
+        min_faults=min_faults,
     )
 
 

@@ -10,14 +10,26 @@ OPT with the same cache).
 
 Implementation notes
 --------------------
-The whole sequence is required up front (the policy is offline).  We
-precompute, for every position ``i``, the index of the next request to the
-same page (``n`` meaning "never again") with one backward pass — the
-standard O(n) trick — then run the simulation with a lazy max-heap of
-``(-next_use, page)`` entries.  Stale heap entries (from pages whose next
-use was updated or that were already evicted) are discarded on pop, giving
-O(n log n) total.  The hot loop hoists attribute lookups into locals per
-the HPC guide's profiling advice.
+The whole sequence is required up front (the policy is offline).
+:func:`next_use_indices` gives, for every position ``i``, the index of
+the next request to the same page (``n`` meaning "never again") from one
+stable argsort: equal pages sit side by side in position order.
+
+:func:`belady_faults` (and through it :func:`min_service_time`, every
+certified lower bound of :mod:`repro.parallel.opt`, the fairness report
+and the best static partition) runs as one compiled call on the native
+kernel tier (``repro_min_run`` in :mod:`repro.paging._native`): a
+backward pass over an open-addressing page table finds the next uses,
+and a forward pass keeps the resident pages in a max-heap keyed by next
+use, in O(n log n).  On the numpy tier (``REPRO_KERNEL=fast`` or
+``reference``, or no compiler) it runs :class:`BeladySimulation`, which
+is also the step-through API and the oracle the compiled count is held
+to.  That python loop keeps a lazy max-heap of ``(-next_use, page)``
+entries; stale entries (from pages whose next use was updated or that
+were already evicted) are discarded on pop, giving O(n log n) total.
+Next uses are distinct positions except "never", and which never-again
+page goes first does not change the count, so both tiers return the
+same fault count exactly.
 """
 
 from __future__ import annotations
@@ -26,6 +38,8 @@ import heapq
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
+
+from .kernel import _active_native
 
 __all__ = ["next_use_indices", "belady_faults", "BeladySimulation", "min_service_time"]
 
@@ -36,17 +50,21 @@ def next_use_indices(requests: Sequence[int]) -> np.ndarray:
     Positions whose page never recurs get ``len(requests)`` (an "infinity"
     that compares correctly against every real index).
 
-    Runs in O(n) with a single backward pass and a dict of last-seen
-    positions.
+    A stable argsort lists each page's positions in order, so every
+    position's successor in that order is its next use.
     """
-    n = len(requests)
+    seq = np.asarray(requests, dtype=np.int64)
+    n = len(seq)
     nxt = np.full(n, n, dtype=np.int64)
-    last_seen: Dict[int, int] = {}
-    for i in range(n - 1, -1, -1):
-        page = int(requests[i])
-        nxt[i] = last_seen.get(page, n)
-        last_seen[page] = i
+    order = np.argsort(seq, kind="stable")
+    same = seq[order[1:]] == seq[order[:-1]]
+    nxt[order[:-1][same]] = order[1:][same]
     return nxt
+
+
+def _check_capacity(capacity: int) -> None:
+    if capacity < 1:
+        raise ValueError(f"Belady capacity must be >= 1, got {capacity}")
 
 
 class BeladySimulation:
@@ -66,8 +84,7 @@ class BeladySimulation:
     """
 
     def __init__(self, requests: Sequence[int], capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError(f"Belady capacity must be >= 1, got {capacity}")
+        _check_capacity(capacity)
         self.requests = np.asarray(requests, dtype=np.int64)
         self.capacity = int(capacity)
         self.next_use = next_use_indices(self.requests)
@@ -149,9 +166,13 @@ class BeladySimulation:
 def belady_faults(requests: Sequence[int], capacity: int) -> int:
     """Minimum number of faults to serve ``requests`` with ``capacity`` pages.
 
-    One-shot convenience over :class:`BeladySimulation` for lower-bound code
-    that only needs the count.
+    One compiled call on the native kernel tier, else a
+    :class:`BeladySimulation` run; both give the same count.
     """
+    _check_capacity(capacity)
+    ops = _active_native()
+    if ops is not None:
+        return ops.min_faults(requests, capacity)
     sim = BeladySimulation(requests, capacity)
     sim.run()
     return sim.faults

@@ -24,6 +24,7 @@ from typing import Dict, List
 
 import numpy as np
 
+from .belady import next_use_indices
 from .engine import BoxRun
 from .policies import ReplacementPolicy
 
@@ -99,15 +100,8 @@ def run_box_min(
         raise ValueError(f"miss_cost must be > 1, got {miss_cost}")
     n = len(seq)
     mc = int(miss_cost)
-    # lazy next-use: walk forward recording last-seen; we need next use at
-    # each position in the served window, so scan ahead on demand.
-    # Simpler: compute next_use for the suffix once (O(n - start)).
-    nxt = np.full(n - start, n, dtype=np.int64)
-    last: Dict[int, int] = {}
-    for i in range(n - 1, start - 1, -1):
-        page = int(seq[i])
-        nxt[i - start] = last.get(page, n)
-        last[page] = i
+    # next uses over the whole suffix, in global positions ("never" is n)
+    nxt = next_use_indices(seq[start:]) + start
     resident: Dict[int, int] = {}
     heap: List = []
     pos = start

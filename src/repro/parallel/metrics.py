@@ -11,7 +11,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .events import ParallelRunResult, capacity_profile, peak_concurrent_height
+from .events import ParallelRunResult, capacity_profile
 from .opt import MakespanLowerBound
 
 __all__ = ["RunSummary", "summarize", "cache_utilization"]
@@ -23,7 +23,11 @@ def cache_utilization(result: ParallelRunResult) -> float:
     0 for runs that record no box trace (e.g. GLOBAL-LRU, which always
     uses the full cache implicitly).
     """
-    times, heights = capacity_profile(result.trace)
+    return _utilization(*capacity_profile(result.trace), result.cache_size)
+
+
+def _utilization(times: np.ndarray, heights: np.ndarray, cache_size: int) -> float:
+    """:func:`cache_utilization` of a capacity profile."""
     if len(times) < 2:
         return 0.0
     durations = np.diff(times).astype(np.float64)
@@ -32,7 +36,7 @@ def cache_utilization(result: ParallelRunResult) -> float:
     span = float(times[-1] - times[0])
     if span <= 0:
         return 0.0
-    return area / (span * result.cache_size)
+    return area / (span * cache_size)
 
 
 @dataclass(frozen=True)
@@ -88,7 +92,9 @@ def summarize(
     mean_lb: Optional[float] = None,
 ) -> RunSummary:
     """Reduce a run (plus optional lower bounds) to a table row."""
-    peak = peak_concurrent_height(result.trace)
+    # one pass over the trace serves both the peak and the utilization
+    times, heights = capacity_profile(result.trace)
+    peak = int(heights.max()) if len(heights) else 0
     makespan = result.makespan
     mean_ct = result.mean_completion_time
     return RunSummary(
@@ -100,5 +106,5 @@ def summarize(
         mean_completion_ratio=(mean_ct / mean_lb) if mean_lb else None,
         peak_height=peak,
         xi_measured=peak / result.cache_size if result.cache_size else 0.0,
-        utilization=cache_utilization(result),
+        utilization=_utilization(times, heights, result.cache_size),
     )

@@ -25,7 +25,11 @@ Three bounds, combined by max:
    squared.)
 
 `mean_completion_lower_bound` gives the analogous per-processor bound for
-Corollary 3's objective.
+Corollary 3's objective.  Both take their isolation terms from one helper,
+one :func:`~repro.paging.belady.min_service_time` per processor: Belady's
+MIN runs as one compiled call per processor on the native kernel tier, and
+as the python :class:`~repro.paging.belady.BeladySimulation` without it,
+with the same fault counts, so the bounds are identical on every tier.
 """
 
 from __future__ import annotations
@@ -74,6 +78,14 @@ class MakespanLowerBound:
         }
 
 
+def _isolation_times(workload: ParallelWorkload, k: int, s: int) -> np.ndarray:
+    """Each processor's time alone with the whole cache under MIN (0 if empty)."""
+    return np.array(
+        [min_service_time(seq, k, s) if len(seq) else 0 for seq in workload.sequences],
+        dtype=np.int64,
+    )
+
+
 def _impact_lattice(k: int) -> HeightLattice:
     """Full lattice with min height 1 (heights 1, 2, …, k)."""
     return HeightLattice(k=k, p=k)
@@ -101,11 +113,8 @@ def makespan_lower_bound(
     """
     s = int(miss_cost)
     p = workload.p
-    iso = np.zeros(p, dtype=np.int64)
-    length = 0
-    for i, seq in enumerate(workload.sequences):
-        length = max(length, len(seq))
-        iso[i] = min_service_time(seq, k, s) if len(seq) else 0
+    iso = _isolation_times(workload, k, s)
+    length = max((len(seq) for seq in workload.sequences), default=0)
     isolation = int(iso.max()) if p else 0
 
     impact_bound = 0
@@ -148,8 +157,6 @@ def mean_completion_lower_bound(
       isolation here and we keep the simple mean.  (Documented to explain
       why no tighter closed form is used.)
     """
-    s = int(miss_cost)
     if workload.p == 0:
         return 0.0
-    iso = [min_service_time(seq, k, s) if len(seq) else 0 for seq in workload.sequences]
-    return float(np.mean(iso))
+    return float(np.mean(_isolation_times(workload, k, int(miss_cost))))

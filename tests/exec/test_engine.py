@@ -131,6 +131,20 @@ def test_pool_unavailable_falls_back_to_serial(monkeypatch):
     assert values == clean  # serial fallback, identical results
 
 
+def test_pool_workers_freeze_the_heap_they_inherit(monkeypatch):
+    """A worker's garbage collections leave the objects forked from the parent alone."""
+    import gc
+
+    from repro.exec import UNIT_EXECUTORS, CellOutcome
+
+    def frozen(params):
+        return CellOutcome(value=gc.get_freeze_count(), sim_steps=0, duration_s=0.0)
+
+    monkeypatch.setitem(UNIT_EXECUTORS, "frozen", frozen)
+    units = [WorkUnit("frozen", {"i": i}) for i in range(2)]
+    assert all(count > 0 for count in ExecutionEngine(jobs=2).run(units))
+
+
 def test_execution_restores_stack_when_body_raises(tmp_path):
     base = current_engine()
     telemetry = Telemetry()

@@ -12,6 +12,21 @@ from hypothesis import strategies as st
 from repro.paging import BeladySimulation, LRUCache, belady_faults, min_service_time, next_use_indices
 
 
+def _dict_next_use(requests):
+    """The backward dict-loop oracle for :func:`next_use_indices`."""
+    n = len(requests)
+    nxt = np.full(n, n, dtype=np.int64)
+    last_seen = {}
+    for i in range(n - 1, -1, -1):
+        page = int(requests[i])
+        nxt[i] = last_seen.get(page, n)
+        last_seen[page] = i
+    return nxt
+
+
+I64 = np.iinfo(np.int64)
+
+
 class TestNextUse:
     def test_simple(self):
         seq = [1, 2, 1, 3, 2]
@@ -28,6 +43,21 @@ class TestNextUse:
     def test_all_distinct(self):
         nxt = next_use_indices([1, 2, 3])
         assert nxt.tolist() == [3, 3, 3]
+
+    def test_extreme_page_ids(self):
+        seq = [I64.min, I64.max, -1, 0, I64.min, 0, 1 << 40, I64.max, 2 << 40, -1]
+        assert next_use_indices(seq).tolist() == [4, 7, 9, 5, 10, 10, 10, 10, 10, 10]
+        assert next_use_indices(np.array(seq, dtype=np.int64)).tolist() == _dict_next_use(seq).tolist()
+
+    @given(
+        st.lists(
+            st.one_of(st.integers(-3, 3), st.integers(I64.min, I64.max), st.sampled_from([I64.min, I64.max])),
+            max_size=200,
+        )
+    )
+    @settings(max_examples=200)
+    def test_matches_dict_loop_oracle(self, seq):
+        assert next_use_indices(seq).tolist() == _dict_next_use(seq).tolist()
 
 
 def _brute_force_min_faults(seq, capacity):
@@ -113,14 +143,20 @@ class TestBelady:
         assert sim.done()
 
     def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            BeladySimulation([1], 0)
+        for run in (BeladySimulation, belady_faults):
+            for capacity in (0, -1):
+                with pytest.raises(ValueError, match="capacity must be >= 1"):
+                    run([1], capacity)
 
     def test_exhaustive_small_instances(self):
         """MIN matches brute-force OPT on every tiny instance."""
         for n, pages, capacity in [(6, 3, 2), (7, 4, 2), (6, 4, 3)]:
             for seq in product(range(pages), repeat=n):
-                assert belady_faults(list(seq), capacity) == _brute_force_min_faults(seq, capacity), seq
+                opt = _brute_force_min_faults(seq, capacity)
+                assert belady_faults(list(seq), capacity) == opt, seq
+                sim = BeladySimulation(seq, capacity)
+                sim.run()
+                assert sim.faults == opt, seq
 
 
 @st.composite
@@ -156,7 +192,11 @@ class TestProperties:
     def test_matches_brute_force(self, seq, capacity):
         if len(seq) > 12 or len(set(seq)) > 5:
             seq = seq[:12]
-        assert belady_faults(seq, capacity) == _brute_force_min_faults(tuple(seq), capacity)
+        opt = _brute_force_min_faults(tuple(seq), capacity)
+        assert belady_faults(seq, capacity) == opt
+        sim = BeladySimulation(seq, capacity)
+        sim.run()
+        assert sim.faults == opt
 
     @given(request_sequences(), st.integers(min_value=1, max_value=6), st.integers(min_value=2, max_value=9))
     @settings(max_examples=100)

@@ -213,12 +213,12 @@ the compiled `native` tier below is the default:
 
 ## Native kernel
 
-The `native` kernel tier compiles five inner loops — the
+The `native` kernel tier compiles six inner loops — the
 reuse-distance sweep, the per-box service walk, the offline DP
-relaxation, GLOBAL-LRU's shared-cache event loop and DET-PAR's event
-loop — to machine code, keeping the numpy fast path (for the event
-loops, the python loops) and the dict-LRU reference as bit-identical
-oracles below it:
+relaxation, GLOBAL-LRU's shared-cache event loop, DET-PAR's event
+loop and Belady's MIN — to machine code, keeping the numpy fast path
+(for the event loops and MIN, the python loops) and the dict-LRU
+reference as bit-identical oracles below it:
 
 - **The default, with one fallback.** With `$REPRO_KERNEL` unset,
   `kernel_backend()` resolves to `native` whenever
@@ -257,11 +257,19 @@ oracles below it:
   ends (python plans the next one) and when its record buffer
   fills.  The C code keeps no static state, so threads may run loops
   side by side.
+- **MIN in one call.** `belady_faults`, and with it `min_service_time`,
+  both certified lower bounds, `fairness_report` and
+  `BestStaticPartition`, is one `repro_min_run` call on the native
+  tier: a backward pass over an open-addressing page table finds each
+  request's next use, and a forward pass keeps the resident pages in a
+  max-heap keyed by next use (O(n log n), O(n) scratch words per call).
+  `REPRO_KERNEL=fast`, `reference` and a failed build run the python
+  `BeladySimulation`, which stays the step-through API and the oracle.
 - **Exactness is the only contract.** Box endpoints, hit/fault splits,
   DP distances and parents (including tie-breaks),
-  GLOBAL-LRU completion times, hits, faults and evictions, and
-  DET-PAR completions, box traces and phases must equal
-  the fast and reference tiers bit for bit;
+  GLOBAL-LRU completion times, hits, faults and evictions,
+  DET-PAR completions, box traces and phases, and MIN fault counts
+  must equal the fast and reference tiers bit for bit;
   `tests/paging/test_native.py` pins the three-way equivalence
   property-style on random boxes, streamed chunked appends with
   compaction (column by column against the numpy window), and the
@@ -269,7 +277,10 @@ oracles below it:
   `tests/parallel/test_timestep.py` holds the compiled GLOBAL-LRU
   loop to the python loop and the rescan on drawn workloads, streamed
   in chunks as small as one row, and
-  `tests/parallel/test_det_par_native.py` does the same for DET-PAR.
+  `tests/parallel/test_det_par_native.py` does the same for DET-PAR,
+  and `tests/paging/test_belady_native.py` holds the compiled MIN to
+  the python MIN and to brute force, on hostile columns and from two
+  threads at once.
   A CI job runs the kernel, simulator, green and core suites against a
   build with AddressSanitizer and UBSan.
   `benchmarks/bench_kernel.py` times all three tiers on the same arms
