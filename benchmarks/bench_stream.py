@@ -16,12 +16,13 @@ makespan story is interesting at scale.
 Two cells are recorded:
 
 * ``global-lru`` (the gate): the shared-cache timestep simulator, event
-  loop (compiled on the native tier) vs ``REPRO_SIM=reference`` full
+  loop (compiled on the native tier) vs ``REPRO_KERNEL=reference`` full
   rescan.  Ratio asserted >= 5.
 * ``det-par`` (gated >= 4): the box algorithm on the same stream under
-  the shipping config — ``REPRO_KERNEL=native`` and the default event
-  simulator, so the compiled DET-PAR loop — vs the forced per-instant
-  reference, with the same tracemalloc bound.  The native flavor is
+  the shipping config — ``REPRO_KERNEL=native``, so the compiled DET-PAR
+  loop — vs the python event loop serving every box by the per-request
+  dict-LRU (``REPRO_KERNEL=reference``), with the same tracemalloc
+  bound.  The native flavor is
   recorded in the report.
 
 The report lands in ``benchmarks/out/BENCH_stream.json`` **and** the
@@ -94,8 +95,8 @@ def _with_env(overrides, fn):
 
 
 def _reference(fn):
-    """Run ``fn`` under the REPRO_SIM=reference escape hatch."""
-    return _with_env({"REPRO_SIM": "reference"}, lambda: _timed(fn))
+    """Time ``fn`` under ``REPRO_KERNEL=reference``, the oracle tier."""
+    return _with_env({"REPRO_KERNEL": "reference"}, lambda: _timed(fn))
 
 
 def bench_stream_million(benchmark, out_dir, tmp_path):
@@ -128,7 +129,7 @@ def bench_stream_million(benchmark, out_dir, tmp_path):
     peak_mb = peak / 1e6
 
     # ---------------- gated cell: det-par on the same stream ---------- #
-    # Shipping config: native kernel tier + the default event simulator.
+    # Shipping config: the native kernel tier.
     # The kernel cache is cleared between flips so each run constructs its
     # kernels under its own REPRO_KERNEL (backends are captured at kernel
     # construction time).

@@ -24,7 +24,7 @@ from typing import List
 
 import numpy as np
 
-from repro import ParallelWorkload, make_parallel_workload, makespan_lower_bound, miss_ratio_curve, summarize
+from repro import ParallelWorkload, RunSpec, make_parallel_workload, makespan_lower_bound, miss_ratio_curve, summarize
 from repro.analysis import render_table
 from repro.paging import LRUCache
 from repro.parallel import BoxRecord, ParallelRunResult, make_algorithm, register_algorithm
@@ -103,7 +103,7 @@ def main() -> None:
 
     rows = []
     for name in ("greedy-mrc", "det-par", "equal-partition", "best-static-partition"):
-        res = make_algorithm(name, XI * K_OPT, S, seed=0).run(wl)
+        res = make_algorithm(RunSpec(name, cache_size=XI * K_OPT, miss_cost=S, xi=XI)).run(wl)
         rows.append(summarize(res, makespan_lb=lb).as_dict())
     print(render_table(rows, columns=["algorithm", "makespan", "makespan_ratio", "utilization"],
                        title="your algorithm vs the built-ins (same methodology)"))

@@ -19,7 +19,7 @@ Run:  python examples/multicore_scheduling.py
 
 import numpy as np
 
-from repro import ParallelWorkload, make_algorithm, makespan_lower_bound, mean_completion_lower_bound, miss_ratio_curve, summarize
+from repro import ParallelWorkload, RunSpec, make_algorithm, makespan_lower_bound, mean_completion_lower_bound, miss_ratio_curve, summarize
 from repro.analysis import render_table
 from repro.workloads import cyclic, mixed_locality, phased_working_sets, scan, zipf
 
@@ -81,7 +81,7 @@ def main() -> None:
 
     rows = []
     for name in ALGORITHMS:
-        alg = make_algorithm(name, XI * K_OPT, S, seed=SEED)
+        alg = make_algorithm(RunSpec(name, cache_size=XI * K_OPT, miss_cost=S, xi=XI, seed=SEED))
         rows.append(summarize(alg.run(wl), makespan_lb=lb, mean_lb=mean_lb).as_dict())
     print(
         render_table(

@@ -15,9 +15,7 @@ work unit, run serially by default or fanned out over a process pool when
 an ``execution(jobs=N)`` scope (or CLI ``--jobs N``) is active — with
 row-for-row identical results either way.
 
-The stable calling convention passes :class:`~repro.parallel.RunSpec`
-objects; the historical ``(workload, names, k, miss_cost, …)`` signature
-remains as a deprecation shim.
+Algorithms are passed as :class:`~repro.parallel.RunSpec` objects.
 """
 
 from __future__ import annotations
@@ -191,50 +189,24 @@ def _aggregate(
     )
 
 
-def _resolve_specs(
-    algorithms: Union[RunSpec, Sequence[Union[str, RunSpec]]],
-    k: Optional[int],
-    miss_cost: Optional[int],
-    xi: int,
-) -> Tuple[List[RunSpec], int, int]:
-    """Normalize either calling convention to ``(specs, k, miss_cost)``."""
-    if isinstance(algorithms, RunSpec):
-        algorithms = [algorithms]
-    specs_in = list(algorithms)
-    if specs_in and all(isinstance(s, RunSpec) for s in specs_in):
-        if k is not None or miss_cost is not None:
-            raise TypeError("pass either RunSpecs or the legacy (k, miss_cost) arguments, not both")
-        specs: List[RunSpec] = specs_in  # type: ignore[assignment]
-        ks = {s.k for s in specs}
-        if len(ks) != 1:
-            raise ValueError(f"all RunSpecs must share one k = cache_size/xi for a comparable lower bound; got {sorted(ks)}")
-        costs = {s.miss_cost for s in specs}
-        if len(costs) != 1:
-            raise ValueError(f"all RunSpecs must share one miss_cost; got {sorted(costs)}")
-        return specs, ks.pop(), costs.pop()
-    warnings.warn(
-        "run_experiment(workload, names, k, miss_cost, ...) is deprecated; "
-        "pass a sequence of RunSpec instead (will be removed in 2.0)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    if k is None or miss_cost is None:
-        raise TypeError("legacy run_experiment requires k and miss_cost")
-    if xi < 1:
-        raise ValueError("xi must be >= 1")
-    specs = [
-        RunSpec(algorithm=str(name), cache_size=xi * k, miss_cost=miss_cost, xi=xi)
-        for name in specs_in
-    ]
-    return specs, k, miss_cost
+def _resolve_specs(algorithms: Union[RunSpec, Sequence[RunSpec]]) -> Tuple[List[RunSpec], int, int]:
+    """Normalize ``algorithms`` to ``(specs, k, miss_cost)``."""
+    specs = [algorithms] if isinstance(algorithms, RunSpec) else list(algorithms)
+    for spec in specs:
+        if not isinstance(spec, RunSpec):
+            raise TypeError(f"run_experiment takes RunSpecs, got {type(spec).__name__}")
+    ks = {s.k for s in specs}
+    if len(ks) != 1:
+        raise ValueError(f"all RunSpecs must share one k = cache_size/xi for a comparable lower bound; got {sorted(ks)}")
+    costs = {s.miss_cost for s in specs}
+    if len(costs) != 1:
+        raise ValueError(f"all RunSpecs must share one miss_cost; got {sorted(costs)}")
+    return specs, ks.pop(), costs.pop()
 
 
 def run_experiment(
     workload: Union[ParallelWorkload, str],
-    algorithms: Union[RunSpec, Sequence[Union[str, RunSpec]]],
-    k: Optional[int] = None,
-    miss_cost: Optional[int] = None,
-    xi: int = 2,
+    algorithms: Union[RunSpec, Sequence[RunSpec]],
     seeds: Optional[Sequence[int]] = None,
     include_impact_lb: bool = True,
     lower_bound: Optional[MakespanLowerBound] = None,
@@ -249,16 +221,14 @@ def run_experiment(
     workloads stream zero-copy from disk and stamp their content digest
     into every row's ``trace`` column.
 
-    Stable form::
+    Usage::
 
         run_experiment(workload, [RunSpec("det-par", cache_size=32,
                                           miss_cost=8, xi=2), ...],
                        seeds=(0, 1, 2))
 
     where ``k = cache_size // xi`` (shared by all specs) locates the
-    certified lower bound.  The legacy form
-    ``run_experiment(workload, ["det-par"], k=16, miss_cost=8, xi=2)``
-    still works but emits a :class:`DeprecationWarning`.
+    certified lower bound.
 
     Parameters
     ----------
@@ -276,7 +246,7 @@ def run_experiment(
     """
     workload = resolve_workload(workload)
     trace_digest = str(getattr(workload, "content_digest", "") or "")
-    specs, k_opt, cost = _resolve_specs(algorithms, k, miss_cost, xi)
+    specs, k_opt, cost = _resolve_specs(algorithms)
     eng = engine if engine is not None else current_engine()
 
     # --- batch 1: lower bounds + the first (up to) two seeds per spec --- #

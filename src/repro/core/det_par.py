@@ -33,9 +33,9 @@ of two whose full reservation (bases + strips) fits in ``cache_size``;
 ``meta["k_int"]`` and per-phase reservations are reported so experiments
 can state the measured resource augmentation exactly.
 
-Two loops run the schedule.  On the native kernel tier with the default
-``event`` simulator (the rule :class:`~repro.parallel.timestep.GlobalLRU`
-follows too), the whole event loop — segment ends and strip slots in
+Two loops run the schedule.  On the native kernel tier (the rule
+:class:`~repro.parallel.timestep.GlobalLRU` follows too), the whole event
+loop — segment ends and strip slots in
 ``(time, push order)``, stale-event skips, round-robin strips and the
 phase-end finalize — runs compiled as ``repro_detpar_run``
 (:mod:`repro.paging._native`) over state arrays :meth:`DetPar.run`
@@ -51,7 +51,7 @@ oracle; both produce the same completions, trace and ``meta``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Dict, List, Optional, Tuple
 
@@ -181,7 +181,7 @@ class DetPar:
         if p < 1:
             raise ValueError("workload must have at least one processor")
         server = make_box_server(workload, s)
-        ops = _active_native() if server.backend == "event" else None
+        ops = _active_native()
         if ops is not None:
             return self._run_native(ops, server)
         n = server.lengths
@@ -383,8 +383,9 @@ class DetPar:
         proc[:, 2] = [x == 0 for x in n]
         feeds = server._feeds
         # the kernels (and so the columns the window rows point at) stay
-        # alive in ``server`` until this returns
-        kernels = [f.kernel for f in feeds] if feeds is not None else server._kerns
+        # alive in ``server`` until this returns; on this tier an
+        # in-memory column's box walk is its SequenceKernel
+        kernels = [f.kernel for f in feeds] if feeds is not None else server._walks
         win = np.array([k.window() for k in kernels], dtype=np.int64)
         lev = np.zeros((64, 3), dtype=np.int64)  # heights double: at most 63 levels
         rec = np.zeros((_REC_ROWS, 10), dtype=np.int64)

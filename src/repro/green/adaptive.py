@@ -30,15 +30,14 @@ buy on adversarial phase changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
 from ..core.box import BoxProfile, HeightLattice
 from ..core.rand_green import GreenRunResult
-from ..paging.engine import BoxRun, ProfileRun, _record_profile_metrics, run_box
-from ..paging.kernel import maybe_kernel, run_box_fast
+from ..paging.engine import BoxRun, ProfileRun, _record_profile_metrics
+from ..paging.kernel import box_walk
 
 __all__ = ["AdaptiveGreen"]
 
@@ -90,16 +89,12 @@ class AdaptiveGreen:
         runs: List[BoxRun] = []
         impact = 0
         wall = 0
-        kern = maybe_kernel(seq)
+        walk = box_walk(seq)
         while pos < n:
             if max_boxes is not None and len(runs) >= max_boxes:
                 break
             h = heights[level]
-            box = (
-                run_box_fast(kern, pos, h, s * h, s)
-                if kern is not None
-                else run_box(seq, pos, h, s * h, s)
-            )
+            box = walk(pos, h, s * h, s)
             runs.append(box)
             impact += s * h * h
             wall += s * h

@@ -36,8 +36,8 @@ import numpy as np
 from ..core.box import BoxProfile, HeightLattice
 from ..core.det_green import DetGreen
 from ..core.rand_green import GreenRunResult
-from ..paging.engine import BoxRun, ProfileRun, _record_profile_metrics, run_box
-from ..paging.kernel import maybe_kernel, run_box_fast
+from ..paging.engine import BoxRun, ProfileRun, _record_profile_metrics
+from ..paging.kernel import box_walk
 
 __all__ = ["ThresholdSchedule", "survivor_schedule", "DynamicGreen"]
 
@@ -150,7 +150,7 @@ class DynamicGreen:
         wall = 0
         seg_idx = self.schedule.segment_index_at(0)
         source = self.source_factory(self.schedule.segments[seg_idx][1])
-        kern = maybe_kernel(seq)
+        walk = box_walk(seq)
         while pos < n:
             if max_boxes is not None and len(runs) >= max_boxes:
                 break
@@ -159,11 +159,7 @@ class DynamicGreen:
                 seg_idx = now_idx
                 source = self.source_factory(self.schedule.segments[seg_idx][1])
             h = int(next(source))
-            box = (
-                run_box_fast(kern, pos, h, s * h, s)
-                if kern is not None
-                else run_box(seq, pos, h, s * h, s)
-            )
+            box = walk(pos, h, s * h, s)
             runs.append(box)
             impact += s * h * h
             wall += s * h

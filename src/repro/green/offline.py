@@ -27,14 +27,13 @@ thousands, well within budget for pure Python per the HPC guide's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List
 
 import numpy as np
 
 from ..core.box import BoxProfile, HeightLattice
 from ..obs import metrics as obs_metrics
-from ..paging.engine import run_box
-from ..paging.kernel import maybe_kernel, native_dp_solve
+from ..paging.kernel import ladder_ends, native_dp_solve
 
 __all__ = ["OfflineGreenResult", "optimal_box_profile", "prefix_optimal_impacts"]
 
@@ -76,8 +75,8 @@ def optimal_box_profile(
     n = len(seq)
     s = int(miss_cost)
     heights = lattice.heights
-    # Validation is hoisted out of the relaxation sweep: the fast path
-    # below probes box endpoints O(n · levels) times with no per-probe
+    # Validation is hoisted out of the relaxation sweep: the sweep below
+    # probes box endpoints O(n · levels) times with no per-probe
     # branching, so bad parameters must be rejected here, with the same
     # errors the reference run_box raises per probe.
     if s <= 1:
@@ -88,63 +87,46 @@ def optimal_box_profile(
     # One reuse-distance precompute amortized over every probe — keyed on
     # the caller's array when no copy was needed, so repeated solves on
     # the same sequence (replications, sweeps) share one kernel.
-    kern = maybe_kernel(seq if seq is raw or not isinstance(raw, np.ndarray) else raw)
-    costs = [s * h * h for h in heights]
-    if kern is not None:
-        # Batched relaxation: blocked windowed passes yield the endpoints
-        # of every lattice height for a run of consecutive starts at once
-        # (the hit sets of a geometric height ladder are nested — see
-        # SequenceKernel.ladder_plan).  The tables live as plain-int lists
-        # during the sweep: the loop body is scalar compares, where numpy
-        # scalar indexing would triple the cost.
-        hladder = tuple(int(h) for h in heights)
-        budgets = tuple(s * h for h in hladder)
-        solved = native_dp_solve(kern, hladder, budgets, tuple(costs), s, _INF)
-        if solved is not None:
-            # native kernel tier: the whole relaxation runs compiled,
-            # with the exact tie-breaking of the python sweep below
-            # (ascending start, ascending ladder level, strict '<'), so
-            # parents — not just distances — stay bit-identical.
-            dist, parent_pos, parent_h = solved
-        else:
-            ends = kern.ladder_plan(hladder, budgets, s).ends
-            dist_l = [_INF] * (n + 1)
-            parent_pos_l = [-1] * (n + 1)
-            parent_h_l = [0] * (n + 1)
-            dist_l[0] = 0
-            for q in range(n):
-                d = dist_l[q]
-                if d == _INF:
-                    continue
-                for h, c, end in zip(hladder, costs, ends(q)):
-                    nd = d + c
-                    if nd < dist_l[end]:
-                        dist_l[end] = nd
-                        parent_pos_l[end] = q
-                        parent_h_l[end] = h
-            dist = np.array(dist_l, dtype=np.int64)
-            parent_pos = np.array(parent_pos_l, dtype=np.int64)
-            parent_h = np.array(parent_h_l, dtype=np.int64)
+    key = seq if seq is raw or not isinstance(raw, np.ndarray) else raw
+    hladder = tuple(int(h) for h in heights)
+    budgets = tuple(s * h for h in hladder)
+    costs = [s * h * h for h in hladder]
+    # native kernel tier: the whole relaxation runs compiled, with the
+    # exact tie-breaking of the python sweep below (ascending start,
+    # ascending ladder level, strict '<'), so parents — not just
+    # distances — stay bit-identical.
+    solved = native_dp_solve(key, hladder, budgets, tuple(costs), s, _INF)
+    if solved is not None:
+        dist, parent_pos, parent_h = solved
     else:
-        dist = np.full(n + 1, _INF, dtype=np.int64)
-        # parent pointers for profile reconstruction: best (prev_pos, height)
-        parent_pos = np.full(n + 1, -1, dtype=np.int64)
-        parent_h = np.zeros(n + 1, dtype=np.int64)
-        dist[0] = 0
+        # Batched relaxation: on the numpy tier, blocked windowed passes
+        # yield the endpoints of every lattice height for a run of
+        # consecutive starts at once (the hit sets of a geometric height
+        # ladder are nested — see SequenceKernel.ladder_plan); under
+        # REPRO_KERNEL=reference each endpoint is one run_box.  The tables
+        # live as plain-int lists during the sweep: the loop body is
+        # scalar compares, where numpy scalar indexing would triple the
+        # cost.  A taller box reaching the same endpoint is dominated, but
+        # every height is needed because endpoints differ; no pruning
+        # beyond the relaxation itself is sound in general.
+        ends = ladder_ends(key, hladder, budgets, s)
+        dist_l = [_INF] * (n + 1)
+        parent_pos_l = [-1] * (n + 1)
+        parent_h_l = [0] * (n + 1)
+        dist_l[0] = 0
         for q in range(n):
-            d = dist[q]
+            d = dist_l[q]
             if d == _INF:
                 continue
-            for h, c in zip(heights, costs):
-                end = run_box(seq, q, h, s * h, s).end
+            for h, c, end in zip(hladder, costs, ends(q)):
                 nd = d + c
-                if nd < dist[end]:
-                    dist[end] = nd
-                    parent_pos[end] = q
-                    parent_h[end] = h
-                # A taller box reaching the same endpoint is dominated, but
-                # we still need every height because endpoints differ; no
-                # pruning beyond the relaxation itself is sound in general.
+                if nd < dist_l[end]:
+                    dist_l[end] = nd
+                    parent_pos_l[end] = q
+                    parent_h_l[end] = h
+        dist = np.array(dist_l, dtype=np.int64)
+        parent_pos = np.array(parent_pos_l, dtype=np.int64)
+        parent_h = np.array(parent_h_l, dtype=np.int64)
     if dist[n] == _INF:
         raise RuntimeError("offline DP failed to reach the end of the sequence (bug)")
     # reconstruct
@@ -154,8 +136,8 @@ def optimal_box_profile(
         rev.append(int(parent_h[q]))
         q = int(parent_pos[q])
     rev.reverse()
-    # one counter per DP solve — never per run_box probe: the relaxation
-    # loop above calls run_box O(n * levels) times and must stay cheap
+    # one counter per DP solve — never per endpoint probe: the relaxation
+    # loop above probes O(n * levels) endpoints and must stay cheap
     reg = obs_metrics.active()
     if reg.enabled:
         reg.counter("sim.green.opt.profiles").inc()

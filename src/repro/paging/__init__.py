@@ -9,8 +9,9 @@ This package is the foundation everything else stands on:
 * :mod:`~repro.paging.engine` — the compartmentalized-box execution engine
   shared by every algorithm in :mod:`repro.core`;
 * :mod:`~repro.paging.kernel` — the vectorized reuse-distance box kernel
-  (``run_box_fast``) that serves every hot path, with the engine's
-  dict-LRU kept as the cross-checked reference (``REPRO_KERNEL``);
+  (``run_box_fast``) that serves every hot path, and ``box_walk``, which
+  picks it or the engine's dict-LRU, the cross-checked reference
+  (``REPRO_KERNEL=reference``);
 * :mod:`~repro.paging.stack` — Mattson stack distances / miss-ratio curves
   for workload characterization and test oracles.
 """
@@ -23,10 +24,10 @@ from .engine_policy import run_box_min, run_box_policy
 from .kernel import (
     SequenceKernel,
     StreamKernel,
+    box_walk,
     clear_kernel_cache,
     get_kernel,
     kernel_backend,
-    maybe_kernel,
     run_box_fast,
 )
 from .fifo import FIFOCache
@@ -47,6 +48,7 @@ __all__ = [
     "execute_profile_streaming",
     "run_box",
     "run_box_fast",
+    "box_walk",
     "run_box_min",
     "run_box_policy",
     "SequenceKernel",
@@ -54,7 +56,6 @@ __all__ = [
     "clear_kernel_cache",
     "get_kernel",
     "kernel_backend",
-    "maybe_kernel",
     "ClockCache",
     "LFUCache",
     "FIFOCache",

@@ -11,11 +11,12 @@ sequence through exactly one operation:
 :func:`run_box` implements that operation with a hand-rolled
 dict+linked-list LRU inline (hoisting all lookups into locals) rather than
 going through the :class:`~repro.paging.lru.LRUCache` attribute API.  It is
-no longer the production hot loop: the vectorized reuse-distance kernel in
-:mod:`repro.paging.kernel` (``run_box_fast``) now serves every threaded
-call site, and this per-request loop is kept as the cross-checked reference
-semantics and the ``REPRO_KERNEL=reference`` escape hatch.  The two
-implementations are asserted bit-identical in the test suite.
+no longer the production hot loop: the reuse-distance kernel in
+:mod:`repro.paging.kernel` (``run_box_fast``) serves every call site, and
+this per-request loop is kept as the cross-checked reference semantics,
+the box walk :func:`~repro.paging.kernel.box_walk` returns under
+``REPRO_KERNEL=reference``.  The two implementations are asserted
+bit-identical in the test suite.
 
 Timing semantics (paper §2, with the additive +1 folded into ``s``):
 
@@ -32,9 +33,8 @@ phase boundary) and so tests can probe edge cases.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -253,14 +253,14 @@ def execute_profile(
     progress — e.g. heights that never reach a long cycle's working set
     would still progress, so in practice the guard only trips on bugs).
 
-    Boxes are evaluated by the cached reuse-distance kernel
-    (:mod:`repro.paging.kernel`) unless ``REPRO_KERNEL=reference`` selects
-    the dict-LRU loop; both produce bit-identical runs.
+    Boxes run on the tier's box walk (:func:`repro.paging.kernel.box_walk`):
+    the cached reuse-distance kernel, or the dict-LRU loop under
+    ``REPRO_KERNEL=reference``; both produce bit-identical runs.
 
     Every consumed box is charged in full for impact and wall time, even
     the final partially-used one — matching the paper's box accounting.
     """
-    from .kernel import maybe_kernel, run_box_fast
+    from .kernel import box_walk
 
     runs: List[BoxRun] = []
     pos = int(start)
@@ -268,7 +268,7 @@ def execute_profile(
     impact = 0
     wall = 0
     mc = int(miss_cost)
-    kern = maybe_kernel(seq)
+    walk = box_walk(seq)
     it: Iterator[int] = iter(heights)
     count = 0
     while pos < n:
@@ -279,11 +279,7 @@ def execute_profile(
         except StopIteration:
             break
         budget = mc * h
-        run = (
-            run_box_fast(kern, pos, h, budget, mc)
-            if kern is not None
-            else run_box(seq, pos, h, budget, mc)
-        )
+        run = walk(pos, h, budget, mc)
         runs.append(run)
         pos = run.end
         impact += mc * h * h
@@ -320,13 +316,12 @@ def execute_profile_streaming(
     serve at most ``miss_cost·h`` requests (each costs >= 1 time unit), so
     only ``[pos, pos + budget)`` ever needs to be resident.
 
-    Under the fast backend, chunks feed an incremental
-    :class:`~repro.paging.kernel.StreamKernel` — one amortized sweep per
-    request, zero window concatenation — and the swept prefix is compacted
-    away as execution advances.  Under ``REPRO_KERNEL=reference``, resident
-    chunks live in a :class:`~collections.deque` (dropping a served chunk
-    is O(1)) and an unchanged resident window is never re-concatenated:
-    front-drops shrink the cached concatenation by view.
+    Chunks feed an incremental :class:`~repro.paging.kernel.StreamKernel`
+    on every tier — one amortized sweep per request, zero window
+    concatenation — and the swept prefix is compacted away as execution
+    advances.  Under ``REPRO_KERNEL=reference`` the kernel runs on the
+    numpy tier, and the streaming tests hold it to the dict-LRU
+    :func:`run_box` that :func:`execute_profile` runs there.
     """
     from . import kernel as _kernel
 
@@ -334,12 +329,9 @@ def execute_profile_streaming(
     runs: List[BoxRun] = []
     height_it: Iterator[int] = iter(heights)
     chunk_it: Iterator[np.ndarray] = iter(chunks)
-    stream = _kernel.StreamKernel() if _kernel.kernel_backend() != "reference" else None
-    parts: Deque[np.ndarray] = deque()  # reference backend: resident chunks
-    base = 0  # global index of parts[0][0]
+    stream = _kernel.StreamKernel()
     loaded = 0  # total requests pulled from the stream so far
     exhausted = False
-    cat: Optional[np.ndarray] = None  # cached concatenation of parts
     pos = int(start)
     impact = 0
     wall = 0
@@ -347,7 +339,7 @@ def execute_profile_streaming(
 
     def pull() -> bool:
         """Load one more non-empty chunk; False once the stream ends."""
-        nonlocal loaded, exhausted, cat
+        nonlocal loaded, exhausted
         while True:
             try:
                 chunk = next(chunk_it)
@@ -358,11 +350,7 @@ def execute_profile_streaming(
             if arr.ndim != 1:
                 raise ValueError("chunks must be 1-D request arrays")
             if len(arr):
-                if stream is not None:
-                    stream.append(arr)
-                else:
-                    parts.append(arr)
-                    cat = None
+                stream.append(arr)
                 loaded += len(arr)
                 return True
 
@@ -380,35 +368,13 @@ def execute_profile_streaming(
         budget = mc * h
         while not exhausted and loaded < pos + budget:
             pull()
-        if stream is not None:
-            # No future box starts before ``pos``, so everything behind it
-            # is dead weight; compact once the dead prefix outweighs the
-            # live window (amortizing the Fenwick rebuild).
-            dead = pos - stream.base
-            if dead >= _kernel.STREAM_COMPACT_MIN and dead >= len(stream) - dead:
-                stream.compact(pos)
-            run = _kernel.run_box_fast(stream, pos, h, budget, mc)
-        else:
-            dropped = 0
-            while parts and base + len(parts[0]) <= pos:
-                n0 = len(parts[0])
-                base += n0
-                dropped += n0
-                parts.popleft()
-            if cat is not None and dropped:
-                cat = cat[dropped:]  # same window minus a served prefix
-            if cat is None:
-                cat = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            local = run_box(cat, pos - base, h, budget, mc)
-            run = BoxRun(
-                start=local.start + base,
-                end=local.end + base,
-                hits=local.hits,
-                faults=local.faults,
-                time_used=local.time_used,
-                budget=local.budget,
-                height=local.height,
-            )
+        # No future box starts before ``pos``, so everything behind it is
+        # dead weight; compact once the dead prefix outweighs the live
+        # window (amortizing the Fenwick rebuild).
+        dead = pos - stream.base
+        if dead >= _kernel.STREAM_COMPACT_MIN and dead >= len(stream) - dead:
+            stream.compact(pos)
+        run = _kernel.run_box_fast(stream, pos, h, budget, mc)
         runs.append(run)
         pos = run.end
         impact += mc * h * h

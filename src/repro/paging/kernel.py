@@ -34,14 +34,19 @@ rows, selected by ``$REPRO_KERNEL``:
 * ``fast`` is the numpy path below, which is also what ``native``
   resolves to when the compiled library cannot be built (no usable C
   compiler);
-* ``reference`` makes every threaded call site fall back to the
-  dict-LRU loop, the cross-check oracle.
+* ``reference`` selects every oracle: the dict-LRU
+  :func:`~repro.paging.engine.run_box` for boxes and DP endpoints, and
+  the retained per-instant loops of the parallel simulators.
 
-Each job has one path per tier.  A box is one walk
-(:meth:`_KernelOps.box`): the compiled probe, else a scalar walk over
-plain-int lists that hands long boxes to one vectorized pass.  The
-offline DP runs compiled as a whole (:func:`native_dp_solve`) or, on the
-numpy tier, over a :class:`_LadderPlan`.
+This module picks the box walk for every caller: :func:`box_walk`
+returns a kernel (a kernel is callable as :func:`run_box_fast` over
+itself) or, under ``reference``, ``run_box`` bound to the sequence, and
+:func:`ladder_ends` does the same for the offline DP's endpoints.  Each
+job has one path per tier.  A box is one walk (:meth:`_KernelOps.box`):
+the compiled probe, else a scalar walk over plain-int lists that hands
+long boxes to one vectorized pass.  The offline DP runs compiled as a
+whole (:func:`native_dp_solve`) or, on the numpy tier, over a
+:class:`_LadderPlan`.
 :func:`repro.paging.stack.stack_distances` reads its distances off a
 :class:`SequenceKernel` too, so the sweep here is the only
 reuse-distance sweep in :mod:`repro.paging`.
@@ -63,7 +68,8 @@ from __future__ import annotations
 import os
 import weakref
 from collections import OrderedDict
-from typing import Dict, Hashable, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -74,8 +80,9 @@ __all__ = [
     "SequenceKernel",
     "StreamKernel",
     "run_box_fast",
+    "box_walk",
+    "ladder_ends",
     "get_kernel",
-    "maybe_kernel",
     "peek_kernel",
     "seed_kernel",
     "kernel_backend",
@@ -634,7 +641,7 @@ class _LadderPlan:
 
 
 def native_dp_solve(
-    kernel: SequenceKernel,
+    seq: np.ndarray,
     heights: Tuple[int, ...],
     budgets: Tuple[int, ...],
     costs: Tuple[int, ...],
@@ -646,13 +653,15 @@ def native_dp_solve(
     Returns ``(dist, parent_pos, parent_h)`` — byte-identical to the
     python sweep in :func:`repro.green.offline.optimal_box_profile`
     (ascending positions, ascending ladder levels, strict-``<``
-    improvement) — when the kernel was built on the native tier;
-    ``None`` otherwise, and the caller falls back to its own
-    sweep.  Hoisting the relaxation loop itself (not just the endpoint
-    probes) is what buys the DP arm its headroom: at typical experiment
-    sizes the python ``zip`` loop costs as much as the probes.
+    improvement) — when ``seq``'s cached kernel was built on the native
+    tier; ``None`` otherwise, and the caller falls back to its own sweep
+    over :func:`ladder_ends`.  Hoisting the relaxation loop itself (not
+    just the endpoint probes) is what buys the DP arm its headroom: at
+    typical experiment sizes the python ``zip`` loop costs as much as
+    the probes.
     """
-    ops = kernel._ops
+    kernel = _tier_kernel(seq)
+    ops = None if kernel is None else kernel._ops
     if ops is None:
         return None
     n = kernel._n
@@ -930,6 +939,47 @@ def run_box_fast(
     return kernel.box(int(start), int(height), int(budget), int(miss_cost))
 
 
+#: A kernel is its own box walk: ``kernel(start, height, budget,
+#: miss_cost)`` is :func:`run_box_fast` over it, with no extra frame.
+_KernelOps.__call__ = run_box_fast
+
+
+def _tier_kernel(seq: np.ndarray, key: Optional[Hashable] = None) -> Optional[SequenceKernel]:
+    """:func:`get_kernel`, or ``None`` under ``REPRO_KERNEL=reference``."""
+    return None if _requested_tier() == "reference" else get_kernel(seq, key=key)
+
+
+def box_walk(seq: np.ndarray, key: Optional[Hashable] = None) -> Callable[[int, int, int, int], BoxRun]:
+    """The tier's box walk over ``seq``: ``walk(start, height, budget, miss_cost)``.
+
+    The cached :class:`SequenceKernel` (:func:`get_kernel`, with the same
+    ``key``), which is callable as :func:`run_box_fast` over itself; under
+    ``REPRO_KERNEL=reference``, the dict-LRU
+    :func:`~repro.paging.engine.run_box` bound to ``seq``.  Both validate
+    their arguments and return bit-identical :class:`BoxRun` values, so a
+    caller runs every box through the one walk it gets here.
+    """
+    kern = _tier_kernel(seq, key)
+    return partial(run_box, seq) if kern is None else kern
+
+
+def ladder_ends(
+    seq: np.ndarray, heights: Tuple[int, ...], budgets: Tuple[int, ...], miss_cost: int
+) -> Callable[[int], List[int]]:
+    """The tier's box endpoints for the offline DP: ``ends(start)`` lists
+    where a cold box of each ladder height, with its budget, stops.
+
+    :meth:`SequenceKernel.ladder_plan`'s blocked passes (same
+    preconditions), or under ``REPRO_KERNEL=reference`` one dict-LRU
+    :func:`~repro.paging.engine.run_box` per height.
+    """
+    kern = _tier_kernel(seq)
+    if kern is not None:
+        return kern.ladder_plan(heights, budgets, miss_cost).ends
+    ladder = tuple(zip(heights, budgets))
+    return lambda start: [run_box(seq, start, h, b, miss_cost).end for h, b in ladder]
+
+
 # --------------------------------------------------------------------- #
 # kernel cache
 # --------------------------------------------------------------------- #
@@ -993,21 +1043,6 @@ def get_kernel(seq: np.ndarray, key: Optional[Hashable] = None) -> SequenceKerne
     _cache_elements += len(kern)
     _evict_until_bounded()
     return kern
-
-
-def maybe_kernel(seq: np.ndarray, key: Optional[Hashable] = None) -> Optional[SequenceKernel]:
-    """:func:`get_kernel`, or ``None`` under ``REPRO_KERNEL=reference``.
-
-    The idiom at every threaded call site::
-
-        kern = maybe_kernel(seq)
-        ...
-        run = run_box_fast(kern, pos, h, budget, s) if kern is not None \\
-            else run_box(seq, pos, h, budget, s)
-    """
-    if kernel_backend() == "reference":
-        return None
-    return get_kernel(seq, key=key)
 
 
 def peek_kernel(seq: np.ndarray, key: Optional[Hashable] = None) -> Optional[SequenceKernel]:

@@ -4,7 +4,8 @@ The algorithms under test (RAND-PAR, DET-PAR, the black-box construction)
 live in :mod:`repro.core`; this package provides everything around them:
 
 * :mod:`~repro.parallel.events` — event scheduler, run results, box traces,
-  capacity ledger, and the ``$REPRO_SIM`` backend switch;
+  capacity ledger, and :func:`sim_backend` (which simulator loops
+  ``$REPRO_KERNEL`` selects);
 * :mod:`~repro.parallel.streaming` — trace-store-fed execution in bounded
   memory (:class:`StreamingWorkload`, :class:`BoxServer`);
 * :mod:`~repro.parallel.schedulers` — the algorithm protocol + registry;
@@ -23,7 +24,6 @@ from .baselines import BestStaticPartition, EqualPartition, static_partition_mak
 from .exact import exact_two_proc_makespan
 from .fairness import FairnessReport, fairness_report, jain_index
 from .events import (
-    SIM_ENV,
     BoxRecord,
     EventScheduler,
     ParallelRunResult,
@@ -54,7 +54,6 @@ __all__ = [
     "FairnessReport",
     "fairness_report",
     "jain_index",
-    "SIM_ENV",
     "sim_backend",
     "EventScheduler",
     "BoxRecord",

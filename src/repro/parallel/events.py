@@ -21,25 +21,23 @@ same ``(time, priority=processor)`` order without the per-event token,
 payload and cancellation bookkeeping, and skips the heap entirely while
 the processor it just served still holds the earliest completion.  That
 loop runs compiled on the native kernel tier, in python otherwise (see
-:mod:`repro.parallel.timestep`).  The retained
-per-timestep loops stay available as the reference oracle behind the
-``$REPRO_SIM`` switch (:func:`sim_backend`), mirroring the ``run_box`` /
-``run_box_fast`` pattern of :mod:`repro.paging.kernel`.  The switch has
-two values and no per-cell heuristic: the event loop is the default on
-every cell.
+:mod:`repro.parallel.timestep`).  The retained per-timestep loops are the
+reference oracle: ``REPRO_KERNEL=reference``, the one backend switch,
+selects them together with the dict-LRU box walk, and
+:func:`sim_backend` names the simulator that setting runs.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..paging.kernel import kernel_backend
+
 __all__ = [
-    "SIM_ENV",
     "sim_backend",
     "EventScheduler",
     "BoxRecord",
@@ -48,26 +46,17 @@ __all__ = [
     "capacity_profile",
 ]
 
-#: Environment variable selecting the parallel-simulator backend.
-SIM_ENV = "REPRO_SIM"
-
 
 def sim_backend() -> str:
-    """The active parallel-simulator backend: ``"event"`` (default) or
-    ``"reference"``.
+    """The parallel-simulator loops in use: ``"reference"`` exactly when
+    :func:`~repro.paging.kernel.kernel_backend` is, ``"event"`` otherwise.
 
-    Controlled by ``$REPRO_SIM``.  The two backends produce
-    byte-identical results (completion times, traces, ``sim.*``
-    counters) — the reference per-timestep / per-request loops exist as a
-    cross-check oracle for the differential harness and as an escape
-    hatch, exactly like ``$REPRO_KERNEL`` for the box kernel.
+    ``REPRO_KERNEL=reference`` selects every oracle at once: the retained
+    per-timestep / per-request simulator loops and the dict-LRU box walk.
+    Both sides produce byte-identical results (completion times, traces,
+    ``sim.*`` counters); the differential harness holds them together.
     """
-    value = os.environ.get(SIM_ENV, "event").strip().lower() or "event"
-    if value in ("event", "fast"):
-        return "event"
-    if value in ("reference", "ref", "timestep"):
-        return "reference"
-    raise ValueError(f"unknown {SIM_ENV} backend {value!r}; expected 'event' or 'reference'")
+    return "reference" if kernel_backend() == "reference" else "event"
 
 
 class EventScheduler:

@@ -31,13 +31,9 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-import numpy as np
-
 from ..core.box import HeightLattice
-from ..paging.engine import run_box
-from ..paging.kernel import maybe_kernel, run_box_fast
+from ..paging.kernel import box_walk
 from ..workloads.trace import ParallelWorkload
-from .events import sim_backend
 
 __all__ = ["exact_two_proc_makespan"]
 
@@ -65,20 +61,15 @@ def exact_two_proc_makespan(
 
     # progress[i][h][pos] = (end position, charged duration) — the
     # lens[i] · k box probes below dominate small instances, so they go
-    # through the cached reuse-distance kernel when enabled.
+    # through the tier's box walk (the cached reuse-distance kernel).
     digest = getattr(workload, "content_digest", None)
-    use_kernel = sim_backend() != "reference"
     progress: Tuple[Dict[int, Dict[int, Tuple[int, int]]], ...] = ({}, {})
     for i in (0, 1):
-        kern = maybe_kernel(seqs[i], key=(digest, i) if digest else None) if use_kernel else None
+        walk = box_walk(seqs[i], key=(digest, i) if digest else None)
         for h in heights:
             table: Dict[int, Tuple[int, int]] = {}
             for pos in range(lens[i]):
-                r = (
-                    run_box_fast(kern, pos, h, s * h, s)
-                    if kern is not None
-                    else run_box(seqs[i], pos, h, s * h, s)
-                )
+                r = walk(pos, h, s * h, s)
                 duration = r.time_used if r.end >= lens[i] else s * h
                 table[pos] = (r.end, duration)
             progress[i][h] = table

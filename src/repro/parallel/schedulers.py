@@ -9,16 +9,14 @@ the single structural interface the analysis harness and the CLI program
 against; registering implementations by name keeps experiment configs
 declarative.
 
-The stable way to instantiate an algorithm is a frozen :class:`RunSpec`
-(``make_algorithm(RunSpec(...))``); the historical positional signature
-``make_algorithm(name, cache_size, miss_cost, seed)`` still works but
-emits a :class:`DeprecationWarning` and will be removed in 2.0.
+An algorithm is instantiated from a frozen :class:`RunSpec`:
+``make_algorithm(RunSpec(...))``.
 
-Every registered algorithm honours the ``$REPRO_SIM`` backend switch
-(:func:`repro.parallel.events.sim_backend`): the default ``event`` backend
-runs on the shared :class:`~repro.parallel.events.EventScheduler` and the
-kernelized box server; ``reference`` replays the retained timestep/
-per-request oracles.  Both produce byte-identical results — the
+Every registered algorithm honours the ``$REPRO_KERNEL`` backend switch
+(:func:`repro.paging.kernel.kernel_backend`): the default tiers run on
+the shared :class:`~repro.parallel.events.EventScheduler` (or a compiled
+loop) and the kernelized box server; ``reference`` replays the retained
+timestep/per-request oracles.  Both produce byte-identical results — the
 differential harness (``tests/parallel/test_differential.py``) enforces
 it — so a registry factory never needs to know which backend is active,
 and accepts in-memory, memmapped, and
@@ -27,9 +25,8 @@ and accepts in-memory, memmapped, and
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Optional, Protocol, Union, runtime_checkable
+from typing import Callable, Dict, Protocol, runtime_checkable
 
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
@@ -138,35 +135,14 @@ def register_algorithm(
     ALGORITHM_REGISTRY[name] = factory
 
 
-def make_algorithm(
-    spec: Union[RunSpec, str],
-    cache_size: Optional[int] = None,
-    miss_cost: Optional[int] = None,
-    seed: int = 0,
-) -> ParallelPager:
+def make_algorithm(spec: RunSpec) -> ParallelPager:
     """Instantiate a registered algorithm from a :class:`RunSpec`.
 
-    ``make_algorithm(RunSpec(...))`` is the stable form.  The legacy
-    positional form ``make_algorithm(name, cache_size, miss_cost, seed)``
-    is kept as a shim and emits a :class:`DeprecationWarning`.
-
-    Raises ``KeyError`` with the list of known names on typos.
+    Raises ``TypeError`` for anything but a ``RunSpec``, and ``KeyError``
+    with the list of known names on typos.
     """
-    if isinstance(spec, RunSpec):
-        if cache_size is not None or miss_cost is not None:
-            raise TypeError("pass either a RunSpec or the legacy positional arguments, not both")
-    else:
-        warnings.warn(
-            "make_algorithm(name, cache_size, miss_cost, seed) is deprecated; "
-            "pass a RunSpec instead (will be removed in 2.0)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if cache_size is None or miss_cost is None:
-            raise TypeError("legacy make_algorithm requires cache_size and miss_cost")
-        spec = RunSpec(
-            algorithm=spec, cache_size=cache_size, miss_cost=miss_cost, seed=seed
-        )
+    if not isinstance(spec, RunSpec):
+        raise TypeError(f"make_algorithm takes a RunSpec, got {type(spec).__name__}")
     try:
         factory = ALGORITHM_REGISTRY[spec.algorithm]
     except KeyError:

@@ -14,36 +14,30 @@ python only when a box runs past one (:meth:`BoxFeed.ensure`).
 
 The serving indirection is :func:`make_box_server`: every box algorithm
 (RAND-PAR, DET-PAR, black-box packing) asks the server to run a box for a
-processor and never touches sequences or kernels directly.  The server
-picks the execution strategy from the workload form and the ``$REPRO_SIM``
-backend (:func:`repro.parallel.events.sim_backend`):
+processor and never touches sequences or kernels directly.  A streamed
+workload is served through one :class:`BoxFeed` per processor; every
+other column — in memory, memory-mapped, or a streamed workload's
+memory-mapped column under ``REPRO_KERNEL=reference`` — through the box
+walk :func:`repro.paging.kernel.box_walk` picks for the tier: the cached
+``SequenceKernel``, or the per-request dict-LRU ``run_box``.
 
-=====================  ========================  ===========================
-workload               ``REPRO_SIM=event``       ``REPRO_SIM=reference``
-=====================  ========================  ===========================
-in-memory / memmap     cached ``SequenceKernel``  per-request ``run_box``
-:class:`Streaming...`  chunked ``StreamKernel``   per-request ``run_box``
-                                                  over the memmap column
-=====================  ========================  ===========================
-
-All four cells produce bit-identical :class:`~repro.paging.engine.BoxRun`
-values — the differential test harness holds the matrix together.  The
-backend is read once per server; no per-cell heuristic overrides it.
-Both kernel cells run the same box walk: a ``StreamKernel`` differs from
-a ``SequenceKernel`` only in its window base, so it takes global stream
-positions.
+Every form produces bit-identical :class:`~repro.paging.engine.BoxRun`
+values — the differential test harness holds them together.  The tier
+is read once per server.  A ``StreamKernel`` runs the same box walk as a
+``SequenceKernel`` and differs only in its window base, so it takes
+global stream positions.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..obs import metrics as obs_metrics
-from ..paging.engine import BoxRun, run_box
-from ..paging.kernel import StreamKernel, maybe_kernel, run_box_fast
+from ..paging.engine import BoxRun
+from ..paging.kernel import StreamKernel, box_walk
 from ..traces.store import TraceStore
 from ..workloads.trace import ParallelWorkload
 from .events import sim_backend
@@ -120,13 +114,10 @@ class StreamingWorkload:
             n_requests.inc(len(chunk))
             yield chunk
 
-    def column(self, proc: int) -> np.ndarray:
-        """Zero-copy memory-mapped column (the reference-mode fallback)."""
-        return self.store.column(proc)
-
     @property
     def sequences(self) -> List[np.ndarray]:
-        """Memmap fallback for consumers that need random access."""
+        """Memmap fallback for consumers that need random access (trace
+        verification, and the box walks under ``REPRO_KERNEL=reference``)."""
         return [self.store.column(i) for i in range(self.p)]
 
     def materialize(self) -> ParallelWorkload:
@@ -212,15 +203,16 @@ class BoxFeed:
 
 
 class BoxServer:
-    """Uniform box-serving facade over every workload form and backend.
+    """Uniform box-serving facade over every workload form and tier.
 
-    Replaces the ``kern is not None ? run_box_fast : run_box`` idiom that
-    was duplicated across RAND-PAR, DET-PAR, and the black-box packer.
     ``serve(proc, pos, height, budget)`` runs one box for one processor
-    and returns the :class:`BoxRun`; the strategy (cached sequence
-    kernel, chunked stream kernel, or the per-request reference walk) is
-    chosen once at construction from the workload form and
-    :func:`sim_backend`.
+    and returns the :class:`BoxRun`.  A streamed workload is served by
+    chunk-fed :class:`BoxFeed` windows; any other column, and a streamed
+    one under ``REPRO_KERNEL=reference`` (its memory-mapped column,
+    OS-paged rather than chunk-bounded), by the tier's box walk from
+    :func:`~repro.paging.kernel.box_walk`.  On the native tier every walk
+    is its column's ``SequenceKernel``, which the compiled DET-PAR loop
+    probes in place.
     """
 
     def __init__(self, workload, miss_cost: int) -> None:
@@ -228,32 +220,18 @@ class BoxServer:
         self.streaming = isinstance(workload, StreamingWorkload)
         self.p = int(workload.p)
         self.backend = sim_backend()
-        if self.streaming:
+        self.digest: Optional[str] = getattr(workload, "content_digest", None)
+        self._feeds: Optional[List[BoxFeed]] = None
+        self._walks: List[Callable[[int, int, int, int], BoxRun]] = []
+        if self.streaming and self.backend == "event":
             self.lengths: Tuple[int, ...] = tuple(workload.lengths)
-            self.digest: Optional[str] = workload.content_digest
-            if self.backend == "event":
-                self._feeds = [
-                    BoxFeed(workload.chunks(i), self.lengths[i]) for i in range(self.p)
-                ]
-                self._seqs: Optional[List[np.ndarray]] = None
-            else:
-                # reference escape hatch: per-request walk over the
-                # memory-mapped column (OS-paged, not chunk-bounded)
-                self._feeds = None
-                self._seqs = [workload.column(i) for i in range(self.p)]
-        else:
-            seqs = workload.sequences
-            self.lengths = tuple(len(sq) for sq in seqs)
-            self.digest = getattr(workload, "content_digest", None)
-            self._seqs = seqs
-            self._feeds = None
-        if not self.streaming and self.backend == "event":
-            self._kerns = [
-                maybe_kernel(sq, key=(self.digest, i) if self.digest else None)
-                for i, sq in enumerate(self._seqs)
-            ]
-        else:
-            self._kerns = [None] * self.p
+            self._feeds = [BoxFeed(workload.chunks(i), self.lengths[i]) for i in range(self.p)]
+            return
+        seqs = workload.sequences
+        self.lengths = tuple(len(sq) for sq in seqs)
+        self._walks = [
+            box_walk(sq, key=(self.digest, i) if self.digest else None) for i, sq in enumerate(seqs)
+        ]
 
     def n(self, proc: int) -> int:
         """Total requests in ``proc``'s sequence (known from the header)."""
@@ -263,10 +241,7 @@ class BoxServer:
         """Run one box for ``proc`` starting at request position ``pos``."""
         if self._feeds is not None:
             return self._feeds[proc].serve(pos, height, budget, self.miss_cost)
-        kern = self._kerns[proc]
-        if kern is not None:
-            return run_box_fast(kern, pos, height, budget, self.miss_cost)
-        return run_box(self._seqs[proc], pos, height, budget, self.miss_cost)
+        return self._walks[proc](pos, height, budget, self.miss_cost)
 
     def resident_rows(self) -> int:
         """Total rows retained across stream feeds (0 when not streaming)."""

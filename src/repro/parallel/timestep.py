@@ -9,9 +9,8 @@ from the single shared LRU order, so one thrashing processor can evict
 everyone else's working set — the interference the paper's box model is
 designed to control.
 
-Three loops.  ``$REPRO_SIM`` (:func:`~repro.parallel.events.sim_backend`)
-picks the event loop (default) or the reference, and the kernel tier
-picks the event loop's implementation, as it does for the box kernels:
+Three loops, one per kernel tier (``$REPRO_KERNEL``), as for the box
+kernels:
 
 * compiled (the default, when the kernel tier resolves to native) —
   ``repro_lru_run`` in :mod:`repro.paging._native` advances over
@@ -21,10 +20,10 @@ picks the event loop's implementation, as it does for the box kernels:
   processor that still holds the earliest completion keeps serving
   without touching the heap.  Columns go in whole, or one store chunk
   at a time for a :class:`~repro.parallel.streaming.StreamingWorkload`.
-* python event (``REPRO_KERNEL=fast|reference``, a host where the
-  compiled library cannot be built, or keys too wide for int64) — the
-  same loop over :class:`LRUCache`.
-* reference (``REPRO_SIM=reference``) — the retained per-timestep
+* python event (``REPRO_KERNEL=fast``, a host where the compiled
+  library cannot be built, or keys too wide for int64) — the same loop
+  over :class:`LRUCache`.
+* reference (``REPRO_KERNEL=reference``) — the retained per-timestep
   full-rescan loop (O(p) per event instant), the historical oracle.  It
   serves same-time processors in ascending index too, so all three loops
   touch the shared LRU in the same order and every count — completions,
@@ -88,8 +87,7 @@ class GlobalLRU:
         p = workload.p
         n = [int(x) for x in workload.lengths]
         completion = np.zeros(p, dtype=np.int64)
-        backend = sim_backend()
-        ops = _active_native() if backend == "event" else None
+        ops = _active_native()
         # the packed keys must fit the C loop's int64; python ints cannot overflow
         if ops is not None and (self.miss_cost * sum(n) + 1) << p.bit_length() < 1 << 63:
             hits, faults, evictions = self._run_native(ops, workload, n, completion)
@@ -97,7 +95,7 @@ class GlobalLRU:
             feeds = [request_feed(workload, i) for i in range(p)]
             done = [n[i] == 0 for i in range(p)]
             cache = LRUCache(self.cache_size)
-            loop = self._run_event if backend == "event" else self._run_reference
+            loop = self._run_reference if sim_backend() == "reference" else self._run_event
             loop(feeds, n, done, completion, cache)
             hits, faults, evictions = cache.hits, cache.faults, cache.evictions
         reg = obs_metrics.active()

@@ -19,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from ..paging.engine import run_box
-from ..paging.kernel import maybe_kernel, run_box_fast
+from ..paging.kernel import box_walk
 from ..workloads.trace import ParallelWorkload
-from .events import ParallelRunResult, sim_backend
+from .events import ParallelRunResult
 
 __all__ = ["TraceVerification", "verify_trace"]
 
@@ -64,7 +63,6 @@ def verify_trace(result: ParallelRunResult, workload: ParallelWorkload) -> Trace
     s = result.miss_cost
     seqs = workload.sequences  # StreamingWorkload falls back to memmap columns
     digest = getattr(workload, "content_digest", None)
-    use_kernel = sim_backend() != "reference"
     per_proc: Dict[int, List] = {i: [] for i in range(workload.p)}
     for r in result.trace:
         per_proc.setdefault(r.proc, []).append(r)
@@ -78,7 +76,7 @@ def verify_trace(result: ParallelRunResult, workload: ParallelWorkload) -> Trace
             if boxes:
                 errors.append(f"proc {proc}: trace references unknown processor")
             continue
-        kern = maybe_kernel(seq, key=(digest, proc) if digest else None) if use_kernel else None
+        walk = box_walk(seq, key=(digest, proc) if digest else None)
         for r in boxes:
             checked += 1
             if r.served_start != pos:
@@ -86,11 +84,7 @@ def verify_trace(result: ParallelRunResult, workload: ParallelWorkload) -> Trace
                     f"proc {proc}: box at t={r.start} starts service at {r.served_start}, expected {pos}"
                 )
                 pos = r.served_start
-            replay = (
-                run_box_fast(kern, r.served_start, r.height, r.duration, s)
-                if kern is not None
-                else run_box(seq, r.served_start, r.height, r.duration, s)
-            )
+            replay = walk(r.served_start, r.height, r.duration, s)
             if replay.end != r.served_end:
                 errors.append(
                     f"proc {proc}: box at t={r.start} (h={r.height}, dur={r.duration}) "

@@ -7,6 +7,7 @@ import pytest
 
 from repro.analysis import run_experiment, series_of, sweep_p
 from repro.analysis.sweep import default_workload_factory
+from repro.parallel import RunSpec
 from repro.workloads import ParallelWorkload, cyclic
 
 
@@ -14,14 +15,15 @@ def small_workload(p=4):
     return ParallelWorkload.from_local([cyclic(120, 4 + i) for i in range(p)])
 
 
+def spec(name, k=16, xi=2):
+    return RunSpec(name, cache_size=xi * k, miss_cost=8, xi=xi)
+
+
 class TestRunExperiment:
     def test_basic_rows(self):
         rows = run_experiment(
             small_workload(),
-            ["det-par", "equal-partition"],
-            k=16,
-            miss_cost=8,
-            xi=2,
+            [spec("det-par"), spec("equal-partition")],
             seeds=(0,),
             include_impact_lb=False,
         )
@@ -33,14 +35,12 @@ class TestRunExperiment:
 
     def test_xi_validation(self):
         with pytest.raises(ValueError):
-            run_experiment(small_workload(), ["det-par"], k=16, miss_cost=8, xi=0)
+            run_experiment(small_workload(), [spec("det-par", xi=0)])
 
     def test_deterministic_algorithm_deduped(self):
         rows = run_experiment(
             small_workload(),
-            ["det-par"],
-            k=16,
-            miss_cost=8,
+            [spec("det-par")],
             seeds=(0, 1, 2, 3),
             include_impact_lb=False,
         )
@@ -49,9 +49,7 @@ class TestRunExperiment:
     def test_randomized_algorithm_replicated(self):
         rows = run_experiment(
             small_workload(),
-            ["rand-par"],
-            k=16,
-            miss_cost=8,
+            [spec("rand-par")],
             seeds=(0, 1, 2),
             include_impact_lb=False,
         )
@@ -63,13 +61,11 @@ class TestRunExperiment:
 
         wl = small_workload()
         lb = makespan_lower_bound(wl, 16, 8, include_impact=False)
-        rows = run_experiment(wl, ["det-par"], k=16, miss_cost=8, lower_bound=lb)
+        rows = run_experiment(wl, [spec("det-par")], lower_bound=lb)
         assert rows[0].makespan_ratio == pytest.approx(rows[0].makespan / lb.value)
 
     def test_as_dict(self):
-        rows = run_experiment(
-            small_workload(), ["equal-partition"], k=16, miss_cost=8, include_impact_lb=False
-        )
+        rows = run_experiment(small_workload(), [spec("equal-partition")], include_impact_lb=False)
         d = rows[0].as_dict()
         assert d["algorithm"] == "equal-partition"
         assert isinstance(d["makespan_ratio"], float)

@@ -1,9 +1,9 @@
-"""The stable RunSpec API and its deprecation shims.
+"""The stable RunSpec API.
 
-Covers the redesigned public surface: ``RunSpec`` validation, the
-RunSpec/legacy equivalence of ``make_algorithm`` and ``run_experiment``,
-parallel/serial row parity, registry overwrite semantics, and the
-versioned row schema.
+Covers the public surface: ``RunSpec`` validation, ``make_algorithm``
+and ``run_experiment`` taking ``RunSpec``s only (the positional shims
+are gone), parallel/serial row parity, registry overwrite semantics, and
+the versioned row schema.
 """
 
 from __future__ import annotations
@@ -69,20 +69,16 @@ class TestMakeAlgorithm:
         alg = make_algorithm(RunSpec("det-par", cache_size=16, miss_cost=8))
         assert alg.cache_size == 16 and alg.miss_cost == 8
 
-    def test_legacy_form_warns_but_matches(self, workload):
-        spec = RunSpec("rand-par", cache_size=16, miss_cost=8, seed=3)
-        with pytest.warns(DeprecationWarning, match="RunSpec"):
-            legacy = make_algorithm("rand-par", 16, 8, seed=3)
-        assert legacy.run(workload).makespan == make_algorithm(spec).run(workload).makespan
-
     def test_mixing_forms_rejected(self):
-        with pytest.raises(TypeError, match="not both"):
+        # the positional parameters are gone, alongside a RunSpec too
+        with pytest.raises(TypeError):
             make_algorithm(RunSpec("det-par", cache_size=16, miss_cost=8), cache_size=16)
 
-    def test_legacy_form_requires_sizes(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="cache_size"):
-                make_algorithm("det-par")
+    def test_bare_name_rejected(self):
+        with pytest.raises(TypeError, match="RunSpec"):
+            make_algorithm("det-par")
+        with pytest.raises(TypeError):
+            make_algorithm("det-par", 16, 8, 0)
 
 
 class TestRegistryOverwrite:
@@ -99,14 +95,6 @@ class TestRegistryOverwrite:
 
 
 class TestRunExperiment:
-    def test_runspec_and_legacy_rows_identical(self, workload):
-        stable = run_experiment(workload, SPECS, seeds=(0, 1, 2))
-        with pytest.warns(DeprecationWarning, match="RunSpec"):
-            legacy = run_experiment(
-                workload, ["det-par", "rand-par"], k=8, miss_cost=8, xi=2, seeds=(0, 1, 2)
-            )
-        assert [r.as_dict() for r in stable] == [r.as_dict() for r in legacy]
-
     def test_parallel_rows_identical_to_serial(self, workload, tmp_path):
         serial = run_experiment(workload, SPECS, seeds=(0, 1, 2, 3))
         with execution(jobs=2, cache=True, cache_dir=tmp_path):
@@ -134,5 +122,10 @@ class TestRunExperiment:
             )
 
     def test_mixing_specs_and_legacy_args_rejected(self, workload):
-        with pytest.raises(TypeError, match="not both"):
+        # k, miss_cost and xi come from the specs; the parameters are gone
+        with pytest.raises(TypeError):
             run_experiment(workload, SPECS, k=8, miss_cost=8)
+
+    def test_algorithm_names_rejected(self, workload):
+        with pytest.raises(TypeError, match="RunSpec"):
+            run_experiment(workload, ["det-par", "rand-par"])

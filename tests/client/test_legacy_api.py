@@ -6,9 +6,8 @@ points — it must not fork or break them.  This module pins:
 
 * the stable signatures (`run_experiment`, `sweep_p`,
   `run_named_experiment`, `execution`, `make_algorithm`,
-  `register_algorithm`) exactly as they shipped before the redesign;
-* the deprecated legacy forms, which keep working through their
-  ``DeprecationWarning`` shims;
+  `register_algorithm`); the positional shims of `run_experiment` and
+  `make_algorithm` are gone, so both take ``RunSpec``s only;
 * the top-level ``repro`` export set (nothing removed, only added);
 * row identity: the facade and the historical API produce the same rows.
 """
@@ -53,7 +52,7 @@ def _params(fn):
 class TestStableSignaturesUnchanged:
     def test_run_experiment(self):
         assert _params(run_experiment) == [
-            "workload", "algorithms", "k", "miss_cost", "xi", "seeds",
+            "workload", "algorithms", "seeds",
             "include_impact_lb", "lower_bound", "mean_lower_bound", "engine",
         ]
 
@@ -70,7 +69,7 @@ class TestStableSignaturesUnchanged:
         assert {"cache_dir", "policy", "checkpoint"} <= set(_params(execution))
 
     def test_algorithm_registry(self):
-        assert _params(make_algorithm) == ["spec", "cache_size", "miss_cost", "seed"]
+        assert _params(make_algorithm) == ["spec"]
         assert _params(register_algorithm) == ["name", "factory", "overwrite"]
 
     def test_schema_version_unchanged(self):
@@ -81,24 +80,6 @@ class TestStableSignaturesUnchanged:
         assert PRE_EXISTING_EXPORTS <= set(repro.__all__)
         for name in PRE_EXISTING_EXPORTS:
             assert getattr(repro, name, None) is not None, name
-
-
-class TestDeprecatedShimsStillWork:
-    def test_legacy_run_experiment_form(self):
-        workload = WL.build()
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            legacy = run_experiment(workload, ["det-par"], k=16, miss_cost=8, xi=2, seeds=[0])
-        stable = run_experiment(
-            workload,
-            [RunSpec(algorithm="det-par", cache_size=32, miss_cost=8, xi=2)],
-            seeds=[0],
-        )
-        assert [r.as_dict() for r in legacy] == [r.as_dict() for r in stable]
-
-    def test_legacy_make_algorithm_form(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            pager = make_algorithm("det-par", 32, 8, 0)
-        assert pager is not None
 
 
 class TestFacadeMatchesLegacyPaths:

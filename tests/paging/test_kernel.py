@@ -30,10 +30,10 @@ from repro.paging.kernel import (
     KERNEL_ENV,
     SequenceKernel,
     StreamKernel,
+    box_walk,
     clear_kernel_cache,
     get_kernel,
     kernel_backend,
-    maybe_kernel,
     native_flavor,
     run_box_fast,
 )
@@ -245,7 +245,7 @@ def test_backend_env_switching(monkeypatch):
     monkeypatch.delenv(KERNEL_ENV, raising=False)
     # unset: the compiled tier whenever it builds, else the numpy fallback
     assert kernel_backend() == compiled
-    assert maybe_kernel(arr) is not None
+    assert isinstance(box_walk(arr), SequenceKernel)
     for alias in ("native", "compiled", " Native "):
         monkeypatch.setenv(KERNEL_ENV, alias)
         assert kernel_backend() == compiled
@@ -255,7 +255,7 @@ def test_backend_env_switching(monkeypatch):
     for alias in ("reference", "ref", " Reference "):
         monkeypatch.setenv(KERNEL_ENV, alias)
         assert kernel_backend() == "reference"
-        assert maybe_kernel(arr) is None
+        assert box_walk(arr).func is run_box
     monkeypatch.setenv(KERNEL_ENV, "turbo")
     with pytest.raises(ValueError, match="unknown REPRO_KERNEL backend"):
         kernel_backend()

@@ -34,9 +34,9 @@ from repro.paging.kernel import (
     KERNEL_ENV,
     SequenceKernel,
     StreamKernel,
+    box_walk,
     clear_kernel_cache,
     kernel_backend,
-    maybe_kernel,
     native_flavor,
     run_box_fast,
 )
@@ -115,7 +115,7 @@ class TestBackendSelection:
             built = {SequenceKernel(arr)._ops is not None, StreamKernel()._ops is not None}
             reported = kernel_backend()
             if reported == "reference":
-                assert maybe_kernel(arr) is None
+                assert box_walk(arr).func is run_box
                 assert built == {False}
             else:
                 assert built == {reported == "native"}

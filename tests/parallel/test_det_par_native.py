@@ -2,8 +2,8 @@
 
 On the native kernel tier :meth:`DetPar.run` runs the whole schedule as
 ``repro_detpar_run``; ``REPRO_KERNEL=fast`` keeps the python event loop
-(the no-compiler path), and ``REPRO_SIM=reference`` serves every box by
-the per-request dict-LRU walk.  Every run must agree on completion
+(the no-compiler path), and ``REPRO_KERNEL=reference`` runs that loop
+and serves every box by the per-request dict-LRU walk.  Every run must agree on completion
 times, the full box trace and ``meta`` (phases, rebuild times, reserved
 peak), in memory and streamed at any chunk size, and must fail with the
 same error where the python loop fails.
@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.core import DetPar
 from repro.paging.kernel import KERNEL_ENV, clear_kernel_cache, native_flavor
-from repro.parallel import SIM_ENV, open_streaming
+from repro.parallel import open_streaming
 from repro.parallel.events import EventScheduler
 from repro.parallel.streaming import BoxServer
 from repro.traces.store import write_store
@@ -31,12 +31,8 @@ from repro.workloads import ParallelWorkload, cyclic, make_parallel_workload
 HAVE_NATIVE = native_flavor() is not None
 requires_native = pytest.mark.skipif(not HAVE_NATIVE, reason="compiled tier unavailable")
 
-#: (REPRO_KERNEL, REPRO_SIM) per DET-PAR loop.
-LOOPS = {
-    "compiled": ("native", "event"),
-    "python": ("fast", "event"),
-    "reference": ("native", "reference"),
-}
+#: REPRO_KERNEL per DET-PAR loop.
+LOOPS = {"compiled": "native", "python": "fast", "reference": "reference"}
 CHUNK_ROWS = (1, 2, 7, 64, 4096)
 KINDS = ["mixed_kinds", "cyclic", "zipf", "multiscale", "phased"]
 
@@ -44,17 +40,16 @@ KINDS = ["mixed_kinds", "cyclic", "zipf", "multiscale", "phased"]
 @contextmanager
 def loop(name):
     """Pin the environment that selects one DET-PAR loop."""
-    saved = {k: os.environ.get(k) for k in (KERNEL_ENV, SIM_ENV)}
-    os.environ[KERNEL_ENV], os.environ[SIM_ENV] = LOOPS[name]
+    saved = os.environ.get(KERNEL_ENV)
+    os.environ[KERNEL_ENV] = LOOPS[name]
     clear_kernel_cache()
     try:
         yield
     finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+        if saved is None:
+            os.environ.pop(KERNEL_ENV, None)
+        else:
+            os.environ[KERNEL_ENV] = saved
         clear_kernel_cache()
 
 

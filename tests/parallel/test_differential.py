@@ -2,10 +2,11 @@
 
 This is the lockdown for the event-driven streaming simulator.  Every
 registered algorithm is run twice on the same workload — once on the
-default ``event`` backend (shared :class:`EventScheduler` + kernelized
-:class:`BoxServer`) and once with ``REPRO_SIM=reference`` (the retained
-timestep / per-request oracles) — and everything observable must match
-exactly:
+default kernel tier (shared :class:`EventScheduler` or compiled loops +
+kernelized :class:`BoxServer`) and once with ``REPRO_KERNEL=reference``
+(the retained timestep / per-request oracles) — and everything
+observable must match exactly; the pinned cells add
+``REPRO_KERNEL=fast`` (the numpy tier) as a third leg:
 
 * per-processor completion times (hence makespan and mean completion),
 * the full box trace (heights, wall intervals, service intervals,
@@ -33,7 +34,8 @@ from hypothesis import strategies as st
 
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import strip_wall
-from repro.parallel import SIM_ENV, open_streaming, sim_backend
+from repro.paging.kernel import KERNEL_ENV, clear_kernel_cache, kernel_backend
+from repro.parallel import open_streaming, sim_backend
 from repro.parallel.schedulers import RunSpec, make_algorithm
 from repro.traces.store import write_store
 from repro.workloads import make_parallel_workload
@@ -46,16 +48,26 @@ KINDS = ["mixed_kinds", "cyclic", "zipf", "multiscale", "phased"]
 
 @contextmanager
 def backend(name):
-    """Scope ``$REPRO_SIM`` to ``name``, restoring the prior value."""
-    old = os.environ.get(SIM_ENV)
-    os.environ[SIM_ENV] = name
+    """Scope ``$REPRO_KERNEL`` to the tier ``name``, restoring the prior
+    value; ``"event"`` is the default tier (the variable unset).
+
+    The kernel cache is cleared on the way in and out, so each leg builds
+    its kernels on its own tier.
+    """
+    old = os.environ.get(KERNEL_ENV)
+    if name == "event":
+        os.environ.pop(KERNEL_ENV, None)
+    else:
+        os.environ[KERNEL_ENV] = name
+    clear_kernel_cache()
     try:
         yield
     finally:
         if old is None:
-            os.environ.pop(SIM_ENV, None)
+            os.environ.pop(KERNEL_ENV, None)
         else:
-            os.environ[SIM_ENV] = old
+            os.environ[KERNEL_ENV] = old
+        clear_kernel_cache()
 
 
 def run_with_metrics(alg_name, k, s, wl, seed=0):
@@ -112,23 +124,29 @@ def feasible(alg, k, p):
 
 
 class TestBackendSwitch:
+    """``sim_backend()`` reads no variable of its own: it follows
+    ``$REPRO_KERNEL``, and names the reference loops exactly when the
+    kernel tier is ``reference``."""
+
     def test_default_is_event(self, monkeypatch):
-        monkeypatch.delenv(SIM_ENV, raising=False)
+        monkeypatch.delenv(KERNEL_ENV, raising=False)
         assert sim_backend() == "event"
 
     @pytest.mark.parametrize("value,expect", [
-        ("event", "event"), ("fast", "event"),
-        ("reference", "reference"), ("ref", "reference"), ("timestep", "reference"),
+        ("native", "event"), ("fast", "event"),
+        ("reference", "reference"), ("ref", "reference"),
     ])
     def test_aliases(self, monkeypatch, value, expect):
-        monkeypatch.setenv(SIM_ENV, value)
+        monkeypatch.setenv(KERNEL_ENV, value)
         assert sim_backend() == expect
+        assert (kernel_backend() == "reference") == (expect == "reference")
 
     def test_invalid_rejected(self, monkeypatch):
-        # "auto" once named a per-cell heuristic; the switch has two values
-        for value in ("warp-drive", "auto"):
-            monkeypatch.setenv(SIM_ENV, value)
-            with pytest.raises(ValueError, match="REPRO_SIM"):
+        # the old simulator switch's values, and "auto" (once a per-cell
+        # heuristic), are no tier: rejected loudly, never defaulted
+        for value in ("warp-drive", "auto", "event", "timestep"):
+            monkeypatch.setenv(KERNEL_ENV, value)
+            with pytest.raises(ValueError, match="REPRO_KERNEL"):
                 sim_backend()
 
 
@@ -174,10 +192,11 @@ class TestEventEqualsReference:
         wl = make_parallel_workload(p=p, n_requests=200, k=k, rng=np.random.default_rng(42))
         with backend("event"):
             res_e, snap_e = run_with_metrics(alg, k, 4, wl)
-        with backend("reference"):
-            res_r, snap_r = run_with_metrics(alg, k, 4, wl)
-        assert_identical(res_e, res_r, ctx=f"{alg} k={k} p={p}")
-        assert snap_e == snap_r
+        for tier in ("reference", "fast"):
+            with backend(tier):
+                res_t, snap_t = run_with_metrics(alg, k, 4, wl)
+            assert_identical(res_e, res_t, ctx=f"{alg} k={k} p={p} {tier}")
+            assert snap_e == snap_t, tier
 
 
 class TestStreamedEqualsInMemory:

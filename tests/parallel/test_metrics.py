@@ -9,6 +9,7 @@ from repro.parallel import (
     ALGORITHM_REGISTRY,
     BoxRecord,
     ParallelRunResult,
+    RunSpec,
     cache_utilization,
     make_algorithm,
     makespan_lower_bound,
@@ -91,13 +92,13 @@ class TestRegistry:
     def test_make_algorithm_runs(self):
         wl = ParallelWorkload.from_local([cyclic(40, 3), cyclic(40, 5)])
         for name in ALGORITHM_REGISTRY:
-            alg = make_algorithm(name, 32, 8, seed=1)
+            alg = make_algorithm(RunSpec(name, 32, 8, seed=1))
             res = alg.run(wl)
             assert res.makespan > 0, name
 
     def test_unknown_name(self):
         with pytest.raises(KeyError, match="known"):
-            make_algorithm("nope", 16, 4)
+            make_algorithm(RunSpec("nope", 16, 4))
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError):

@@ -37,7 +37,7 @@ def strip_noise(text):
 
 def test_chaos_runs_exercise_the_event_backend():
     # the guard that gives this module meaning: unless a test opts into
-    # REPRO_SIM=reference, every fault below lands on the event
+    # REPRO_KERNEL=reference, every fault below lands on the event
     # scheduler, not the retained timestep loop
     assert sim_backend() == "event"
 
@@ -76,12 +76,12 @@ def test_resumed_event_table_matches_timestep_reference(tmp_path, capsys, monkey
     # differential-under-chaos: an interrupted-then-resumed event run
     # must land on the very table the timestep oracle writes in one piece
     ref_dir = tmp_path / "ref"
-    monkeypatch.setenv("REPRO_SIM", "reference")
+    monkeypatch.setenv("REPRO_KERNEL", "reference")
     rc = main(["e3", "--out", str(ref_dir / "e3.md"),
                "--cache-dir", str(ref_dir / "cache"),
                "--runs-dir", str(ref_dir / "runs")])
     assert rc == 0
-    monkeypatch.delenv("REPRO_SIM")
+    monkeypatch.delenv("REPRO_KERNEL")
     capsys.readouterr()
 
     with inject_faults("interrupt:rand-par/p=16:1"):

@@ -141,19 +141,24 @@ class TestBoxFeed:
 class TestBoxServer:
     def test_strategy_matrix(self, stored, monkeypatch):
         wl, store = stored
-        monkeypatch.delenv("REPRO_SIM", raising=False)
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
         assert make_box_server(wl, 4).backend == "event"
         assert make_box_server(wl, 4).streaming is False
         sw = open_streaming(store)
         assert make_box_server(sw, 4).streaming is True
-        monkeypatch.setenv("REPRO_SIM", "reference")
+        monkeypatch.setenv("REPRO_KERNEL", "reference")
         assert make_box_server(wl, 4).backend == "reference"
+        # the reference walks the memory-mapped column: no stream feeds
+        assert make_box_server(sw, 4)._feeds is None
 
     @pytest.mark.parametrize("sim", ["event", "reference"])
     @pytest.mark.parametrize("streamed", [False, True])
     def test_all_cells_serve_identical_boxes(self, stored, monkeypatch, sim, streamed):
         wl, store = stored
-        monkeypatch.setenv("REPRO_SIM", sim)
+        if sim == "reference":
+            monkeypatch.setenv("REPRO_KERNEL", "reference")
+        else:
+            monkeypatch.delenv("REPRO_KERNEL", raising=False)
         target = open_streaming(store) if streamed else wl
         server = make_box_server(target, 4)
         seq = wl.sequences[2]

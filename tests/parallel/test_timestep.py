@@ -32,12 +32,12 @@ requires_native = pytest.mark.skipif(
 
 
 def _pin_loop(mp, loop):
-    """Select one of GlobalLRU's loops through the program's own switches."""
-    mp.setenv("REPRO_SIM", "reference" if loop == "reference" else "event")
-    if loop == "event":
-        mp.setenv("REPRO_KERNEL", "fast")
-    else:
+    """Select one of GlobalLRU's loops through the program's own switch."""
+    tier = {"event": "fast", "reference": "reference"}.get(loop)
+    if tier is None:
         mp.delenv("REPRO_KERNEL", raising=False)
+    else:
+        mp.setenv("REPRO_KERNEL", tier)
 
 
 def wl(*seqs, allow_shared=False):
@@ -146,16 +146,16 @@ def _run_full_rescan(workload, cache_size, miss_cost):
 
 
 def test_reference_backend_is_byte_identical(monkeypatch):
-    """REPRO_SIM=reference routes to the retained rescan oracle in-module."""
+    """REPRO_KERNEL=reference routes to the retained rescan oracle in-module."""
     r = np.random.default_rng(77)
     for _ in range(5):
         p = int(r.integers(1, 7))
         wl = ParallelWorkload.from_local(
             [r.integers(0, 24, size=int(r.integers(30, 120))) for _ in range(p)]
         )
-        monkeypatch.delenv("REPRO_SIM", raising=False)
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
         event = GlobalLRU(12, 6).run(wl)
-        monkeypatch.setenv("REPRO_SIM", "reference")
+        monkeypatch.setenv("REPRO_KERNEL", "reference")
         ref = GlobalLRU(12, 6).run(wl)
         assert event.completion_times.tolist() == ref.completion_times.tolist()
         assert event.meta == ref.meta
@@ -349,7 +349,7 @@ def test_loops_agree_on_a_deep_heap(monkeypatch):
 def test_oversized_keys_fall_back_to_python(monkeypatch):
     # (miss_cost * requests + 1) << shift would overflow int64, so the run
     # takes the python loop, whose ints cannot overflow
-    monkeypatch.delenv("REPRO_SIM", raising=False)
+    monkeypatch.delenv("REPRO_KERNEL", raising=False)
     result = GlobalLRU(cache_size=2, miss_cost=2**61).run(wl([1, 1, 2], [4]))
     assert result.completion_times.tolist() == [2**62 + 1, 2**61]
     assert result.meta == {"hits": 1, "faults": 3}
@@ -361,7 +361,6 @@ def test_default_tier_never_touches_the_python_lru(monkeypatch):
         raise AssertionError("LRUCache.touch called on the compiled tier")
 
     workload = wl([1, 2, 3, 1], [2, 9, 9], allow_shared=True)
-    monkeypatch.delenv("REPRO_SIM", raising=False)
     monkeypatch.delenv("REPRO_KERNEL", raising=False)
     monkeypatch.setattr(LRUCache, "touch", refuse)
     assert GlobalLRU(cache_size=2, miss_cost=3).run(workload).meta == {"hits": 2, "faults": 5}
@@ -372,7 +371,6 @@ def test_numpy_fallback_runs_the_python_loop(monkeypatch):
     touch = LRUCache.touch
     monkeypatch.setattr(LRUCache, "touch", lambda self, page: calls.append(page) or touch(self, page))
     monkeypatch.setenv("REPRO_KERNEL", "fast")
-    monkeypatch.delenv("REPRO_SIM", raising=False)
     GlobalLRU(cache_size=2, miss_cost=3).run(wl([1, 2, 3, 1], [2, 9, 9], allow_shared=True))
     assert sorted(calls) == [1, 1, 2, 2, 3, 9, 9]
 

@@ -61,7 +61,7 @@ class TestVerifierBackendsAndStreaming:
         wl = self._wl()
         res = DetPar(32, 8).run(wl)
         assert verify_trace(res, wl).ok
-        monkeypatch.setenv("REPRO_SIM", "reference")
+        monkeypatch.setenv("REPRO_KERNEL", "reference")
         v = verify_trace(res, wl)
         assert v.ok, v.errors[:3]
         assert v.boxes_checked == len(res.trace)

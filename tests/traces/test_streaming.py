@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.paging import execute_profile, execute_profile_streaming
+from repro.paging.kernel import KERNEL_ENV, clear_kernel_cache
 from repro.traces import write_store
 from repro.traces.stream import (
     characterize_store,
@@ -28,18 +29,25 @@ def split_random(seq, rng):
 
 class TestExecuteProfileStreaming:
     @pytest.mark.parametrize("trial", range(20))
-    def test_random_equivalence(self, trial):
+    def test_random_equivalence(self, trial, monkeypatch):
+        # on every tier: under REPRO_KERNEL=reference the in-memory run is
+        # the dict-LRU, so this holds the (numpy) stream kernel to it
         rng = np.random.default_rng(1000 + trial)
         seq = rng.integers(0, rng.integers(4, 80), size=rng.integers(0, 3000))
         heights = rng.integers(1, 40, size=200).tolist()
         mc = int(rng.integers(2, 12))
         start = int(rng.integers(0, max(len(seq), 1)))
         max_boxes = int(rng.integers(1, 60)) if rng.random() < 0.5 else None
-        ref = execute_profile(seq, heights, mc, start=start, max_boxes=max_boxes)
-        got = execute_profile_streaming(
-            split_random(seq, rng), heights, mc, start=start, max_boxes=max_boxes
-        )
-        assert got == ref
+        chunks = split_random(seq, rng)
+        for tier in ("native", "fast", "reference"):
+            monkeypatch.setenv(KERNEL_ENV, tier)
+            clear_kernel_cache()
+            ref = execute_profile(seq, heights, mc, start=start, max_boxes=max_boxes)
+            got = execute_profile_streaming(
+                chunks, heights, mc, start=start, max_boxes=max_boxes
+            )
+            assert got == ref, tier
+        clear_kernel_cache()
 
     def test_empty_stream(self):
         run = execute_profile_streaming([], [4, 4], miss_cost=3)

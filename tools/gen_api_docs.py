@@ -13,6 +13,7 @@ from __future__ import annotations
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 PACKAGES = [
@@ -47,11 +48,10 @@ green-paging replicate — that `repro.exec` runs through an
   list of them) to `make_algorithm` / `run_experiment`; `sweep_p` builds
   the specs for you.  Rows come back as `ExperimentRow`, whose `as_dict()`
   carries a `schema_version` field so CSV/Markdown exports are
-  self-describing.  The historical positional signatures
-  (`make_algorithm(name, cache_size, miss_cost, seed)`,
-  `run_experiment(workload, names, k, miss_cost, ...)`) still work but
-  emit `DeprecationWarning` and will be **removed in 2.0** — migrate to
-  `RunSpec` now.
+  self-describing.  Both take `RunSpec`s only: the historical
+  positional signatures (`make_algorithm(name, cache_size, miss_cost,
+  seed)`, `run_experiment(workload, names, k, miss_cost, ...)`) are
+  gone.
 - **Parallelism.** `repro <exp> --jobs N` (or
   `with execution(jobs=N): ...` in code) fans units out over a
   `ProcessPoolExecutor`; results are collected in input order, so tables
@@ -197,19 +197,23 @@ the compiled `native` tier below is the default:
   `repro.paging.stack.stack_distances` reads its distances off the
   same precompute, so the kernel's sweep is the package's only
   reuse-distance sweep.
-- **Shared and bounded.** `get_kernel(seq)` / `maybe_kernel(seq)`
-  serve kernels from an LRU-bounded cache keyed on array identity
+- **Shared and bounded.** `get_kernel(seq)` serves kernels from an
+  LRU-bounded cache keyed on array identity
   (weakref-guarded) or an explicit key (trace `content_digest` +
   processor), so DP solves, schedulers, and replicated experiment
   cells on the same sequence share one precompute.  `StreamKernel`
   extends the sweep incrementally for chunked trace streaming, with
   `compact()` keeping only the active window resident and `seal()`
   dropping what only appends need once the stream has ended.
-- **Escape hatch.** `REPRO_KERNEL=reference` routes every threaded
-  call site back to the dict-LRU loop, which is retained as the
-  cross-check oracle; `tests/paging/test_kernel.py` pins bit-identical
-  `BoxRun`s, DP impacts, result rows, and `sim.*` metrics between the
-  two backends.
+- **One module picks the walk.** `box_walk(seq)` returns the tier's
+  box walk, `walk(start, height, budget, miss_cost)`: the cached
+  kernel, which is callable as `run_box_fast` over itself, or under
+  `REPRO_KERNEL=reference` the dict-LRU `run_box`, retained as the
+  cross-check oracle.  `ladder_ends` does the same for the offline
+  DP's endpoints.  Every box call site runs the walk it gets, without
+  a branch of its own; `tests/paging/test_kernel.py` pins
+  bit-identical `BoxRun`s, DP impacts, result rows, and `sim.*` metrics
+  between the backends.
 
 ## Native kernel
 
@@ -249,7 +253,7 @@ reference as bit-identical oracles below it:
   marshalling.
 - **Resumable event loops.** GLOBAL-LRU and DET-PAR run as C loops over
   state arrays their python callers own, taking the compiled path when
-  `REPRO_SIM` is `event` and the tier is native.  DET-PAR's loop covers
+  the tier is native.  DET-PAR's loop covers
   segment ends and strip slots in `(time, push order)`, stale skips,
   round-robin strips and the phase-end finalize; it hands back to
   python, before it changes any state of the step, when a box runs past
@@ -349,18 +353,20 @@ byte-identical oracle:
   opens no file per processor.
   `repro run --trace <ref> --stream` selects the path from the CLI;
   `sim.traces.*` counters record the chunk traffic.
-- **Differential lockdown.** `REPRO_SIM=reference` routes every
+- **Differential lockdown.** `REPRO_KERNEL` is the one backend switch
+  (`native`, `fast` or `reference`).  `reference` routes every
   simulator back to the retained oracles (per-timestep full rescan for
-  GLOBAL-LRU, per-request `run_box` for the box algorithms), mirroring
-  `REPRO_KERNEL`.  The switch takes `event` (the default) or
-  `reference`; no per-cell heuristic picks between them.  Both
-  backends — and streamed vs in-memory forms — produce byte-identical
-  completion times, box traces, and (wall-stripped) `sim.*` snapshots
-  across the `(k, p, algorithm, workload-family)` matrix, powers of two
-  or not;
+  GLOBAL-LRU, per-request `run_box` for the box algorithms, over the
+  memory-mapped column when streamed), and every box walk to the
+  dict-LRU; `sim_backend()` reports `reference` then and `event`
+  otherwise.  No
+  per-cell heuristic picks between them.  Every tier — and streamed vs
+  in-memory forms — produces byte-identical completion times, box
+  traces, and (wall-stripped) `sim.*` snapshots across the
+  `(k, p, algorithm, workload-family)` matrix, powers of two or not;
   `tests/parallel/test_differential.py` is the harness and CI's
-  `stream` job replays it end-to-end through the CLI, on the compiled
-  tier and with `REPRO_KERNEL=fast`.
+  `stream` job replays it end-to-end through the CLI on all three
+  tiers.
 
 ## Observability
 
@@ -465,10 +471,9 @@ in-process or over HTTP, against one shared engine.
   `sweep(SweepRequest)`, `submit_units([...])` (plus
   `upload_trace` / `metrics`).  The facade *delegates* to the historical
   code paths rather than forking them, so its rows are byte-identical to
-  the legacy API's, and every pre-existing signature keeps working
-  (deprecated positional forms still go through their
-  `DeprecationWarning` shims; `tests/client/test_legacy_api.py` pins
-  both).  Row `schema_version` is unchanged: no row field changed.
+  the legacy API's; `tests/client/test_legacy_api.py` pins the
+  signatures and the row identity.  Row `schema_version` is unchanged:
+  no row field changed.
 - **Shared protocol dataclasses.** Requests (`RunRequest`,
   `ExperimentRequest`, `SweepRequest`, `TraceUpload`) and replies
   (`RunReply`, `JobStatus`, `TraceReply`, `MetricsReply`) are frozen
@@ -511,14 +516,21 @@ def first_line(obj) -> str:
     return doc.splitlines()[0] if doc else ""
 
 
+#: The memory address in a default value's repr, e.g. a function-valued
+#: default prints as ``<function f at 0x7f...>``; it changes every run.
+_ADDRESS = re.compile(r" at 0x[0-9a-fA-F]+")
+
+
 def signature_of(obj) -> str:
+    """``obj``'s signature, with no memory address in any default."""
     try:
-        return str(inspect.signature(obj))
+        return _ADDRESS.sub("", str(inspect.signature(obj)))
     except (TypeError, ValueError):
         return "(...)"
 
 
-def main() -> None:
+def render() -> str:
+    """The text of docs/API.md."""
     lines = [
         "# API index",
         "",
@@ -568,9 +580,14 @@ def main() -> None:
         lines.append("")
         lines.append((inspect.getdoc(mod) or "").splitlines()[0])
         lines.append("")
+    return "\n".join(lines) + "\n"
+
+
+def main() -> None:
+    text = render()
     OUT.parent.mkdir(parents=True, exist_ok=True)
-    OUT.write_text("\n".join(lines) + "\n")
-    print(f"wrote {OUT} ({len(lines)} lines)")
+    OUT.write_text(text)
+    print(f"wrote {OUT} ({text.count(chr(10))} lines)")
 
 
 if __name__ == "__main__":
