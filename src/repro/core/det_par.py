@@ -52,13 +52,12 @@ oracle; both produce the same completions, trace and ``meta``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..paging.kernel import _active_native
-from ..parallel.events import BoxRecord, EventScheduler, ParallelRunResult
+from ..parallel.events import RECORD_ROWS, BoxRecord, EventScheduler, ParallelRunResult, drain_records
 from ..parallel.streaming import make_box_server
 from ..workloads.trace import ParallelWorkload
 from .box import validate_lattice
@@ -72,8 +71,6 @@ __all__ = ["DetPar"]
  _MODE, _FINJ, _NREC, _RECCAP, _UPTO, _P, _S, _ST_LEN) = range(19)
 _SETUP = 2
 _PROC_FIELDS = 7  # position, length, done, segment height, start, token, tag
-#: Box records the compiled loop buffers between hand-backs.
-_REC_ROWS = 256
 _TAGS = ("base", "strip")
 
 
@@ -377,25 +374,18 @@ class DetPar:
         if not remaining:
             return self._result(completion, trace, phases, rebuild_times)
         st = np.zeros(_ST_LEN, dtype=np.int64)
-        st[_REMAINING], st[_RECCAP], st[_P], st[_S] = remaining, _REC_ROWS, p, self.miss_cost
+        st[_REMAINING], st[_RECCAP], st[_P], st[_S] = remaining, RECORD_ROWS, p, self.miss_cost
         proc = np.zeros((p, _PROC_FIELDS), dtype=np.int64)
         proc[:, 1] = n
         proc[:, 2] = [x == 0 for x in n]
-        feeds = server._feeds
-        # the kernels (and so the columns the window rows point at) stay
-        # alive in ``server`` until this returns; on this tier an
-        # in-memory column's box walk is its SequenceKernel
-        kernels = [f.kernel for f in feeds] if feeds is not None else server._walks
-        win = np.array([k.window() for k in kernels], dtype=np.int64)
+        # the kernels the rows point into stay alive in ``server``
+        win = server.window_rows()
         lev = np.zeros((64, 3), dtype=np.int64)  # heights double: at most 63 levels
-        rec = np.zeros((_REC_ROWS, 10), dtype=np.int64)
+        rec = np.zeros((RECORD_ROWS, 10), dtype=np.int64)
         heap = np.zeros((0, 4), dtype=np.int64)
 
         def drain() -> None:
-            cols = rec[: st[_NREC]].T.tolist()
-            cols[9] = [_TAGS[x] for x in cols[9]]
-            # tuple.__new__ skips the generated __new__'s frame per record
-            trace.extend(map(tuple.__new__, repeat(BoxRecord), zip(*cols)))
+            drain_records(trace, rec[: st[_NREC]], _TAGS)
             st[_NREC] = 0
 
         def plan(t: int) -> None:
@@ -437,10 +427,7 @@ class DetPar:
         step = ops.detpar_loop(st, heap, proc, win, lev, rec, completion)
         while (i := step()) != -1:
             if i >= 0:
-                feed = feeds[i]
-                feed.position = int(proc[i, 0])
-                feed.ensure(int(st[_UPTO]))
-                win[i] = feed.kernel.window()
+                server.refill(win, i, int(proc[i, 0]), int(st[_UPTO]))
             elif i == -3:
                 drain()
             elif i == -2:

@@ -12,9 +12,10 @@ recorded in telemetry.
 Failure handling is governed by an
 :class:`~repro.exec.policy.ExecutionPolicy`: every unit gets a per-attempt
 timeout and bounded retries with backoff; a worker crash
-(``BrokenProcessPool``) rebuilds the pool and resubmits only the lost
-units; a hung worker is timed out, its pool torn down, and the innocent
-in-flight units resubmitted without burning an attempt.  Under
+(``BrokenProcessPool``) rebuilds the pool and charges an attempt only to
+the unit that crashed it, resubmitting the others in flight untouched; a
+hung worker is timed out, its pool torn down, and the innocent in-flight
+units resubmitted without burning an attempt.  Under
 ``keep_going`` a unit that exhausts its retries yields a typed
 :class:`~repro.exec.policy.FailedCell` instead of aborting the batch.
 
@@ -30,12 +31,15 @@ from __future__ import annotations
 
 import gc
 import heapq
+import itertools
+import multiprocessing
 import os
+import signal
 import time
 import warnings
 from collections import deque
 from contextlib import contextmanager
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
@@ -73,6 +77,75 @@ def _terminate_pool(pool) -> None:
         pool.shutdown(wait=False, cancel_futures=True)
     except Exception:
         pass
+
+
+#: A pool worker's slot on its pool's crash board: the board's raw words
+#: and the index of the word holding the token of the unit it runs.
+_SLOT: Optional[Tuple[Any, int]] = None
+
+
+def _start_worker(board) -> None:
+    """Pool worker start-up: restore SIGTERM's default action, claim a
+    ``(pid, token)`` slot on the pool's crash board, then freeze the
+    heap the worker forked with.
+
+    A forked worker inherits the parent's handlers, and the CLI's
+    signal guard turns SIGTERM into ``KeyboardInterrupt``; with it, the
+    SIGTERM that tears a broken pool down would end a bystander with an
+    exit code of its own (so :func:`_crashed_tokens` charges it) or not
+    at all.  The default is restored before the slot is claimed, so
+    every worker on the board dies by that SIGTERM.
+
+    Freezing keeps the worker's full collections off the parent's heap,
+    which they would otherwise walk and copy-on-write page by page, at a
+    cost that grows with the parent's heap and the host's load.
+    """
+    global _SLOT
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    with board.get_lock():
+        words = board.get_obj()
+        k = next(k for k in range(0, len(words), 2) if not words[k])
+        words[k] = os.getpid()
+    _SLOT = (words, k + 1)
+    gc.freeze()
+
+
+def _run_marked(token: int, run: Callable[[Any], Any], task: Any) -> Any:
+    """Pool-side ``run(task)``, after posting ``token`` on the worker's
+    crash-board slot, so a crash can be traced to the unit it ran."""
+    words, k = _SLOT
+    words[k] = token
+    return run(task)
+
+
+def _crashed_tokens(pool) -> Set[int]:
+    """Tear a broken pool down; return the tokens of the units its
+    crashed workers were running.
+
+    A worker that died by itself, not by the SIGTERM with which the pool
+    and this teardown stop the rest, exited with a code of its own, and
+    its crash-board slot holds the token of the unit it last started.
+    The pool's manager thread reaps the workers; a second reaper racing
+    it could read no exit code, so the codes are read once it is done.
+    The board is read without its lock: a worker SIGTERMed while it
+    claimed its slot took the lock with it.
+    """
+    procs = list((getattr(pool, "_processes", None) or {}).values())
+    manager = getattr(pool, "_executor_manager_thread", None)
+    board = getattr(pool, "crash_board", None)
+    _terminate_pool(pool)
+    if manager is not None:
+        manager.join(timeout=5.0)
+    if board is None:
+        return set()
+    words = board.get_obj()
+    started = dict(zip(words[0::2], words[1::2]))  # pid -> token
+    crashed = set()
+    for proc in procs:
+        proc.join(timeout=1.0)
+        if proc.exitcode not in (None, -signal.SIGTERM) and proc.pid in started:
+            crashed.add(started[proc.pid])
+    return crashed
 
 
 class ExecutionEngine:
@@ -121,11 +194,14 @@ class ExecutionEngine:
     def _make_pool(self, max_workers: int):
         import concurrent.futures
 
-        # A forked worker starts with the parent's whole heap.  Freezing
-        # it there keeps the worker's full collections off those objects,
-        # which they would otherwise walk and copy-on-write page by page,
-        # at a cost that grows with the parent's heap and the host's load.
-        return concurrent.futures.ProcessPoolExecutor(max_workers=max_workers, initializer=gc.freeze)
+        # one (pid, token) slot per worker: a pool never starts more
+        # workers than max_workers, and a broken one is replaced whole
+        board = multiprocessing.Array("q", 2 * max_workers)
+        pool = concurrent.futures.ProcessPoolExecutor(
+            max_workers=max_workers, initializer=_start_worker, initargs=(board,)
+        )
+        pool.crash_board = board
+        return pool
 
     # ------------------------------------------------------------------ #
     # execution
@@ -186,9 +262,18 @@ class ExecutionEngine:
         Invariants: at most ``workers`` units are in flight (so a
         submitted unit starts immediately and its timeout clock is
         honest); a unit that fails an attempt re-enters the queue after
-        its backoff; a pool crash or a timed-out (hung) worker rebuilds
-        the pool and resubmits the innocent in-flight units with their
-        attempt counts untouched.
+        its backoff; a timed-out (hung) worker rebuilds the pool and
+        resubmits the innocent in-flight units with their attempt counts
+        untouched.
+
+        A worker crash fails every future in flight with
+        ``BrokenProcessPool``, so the break alone does not say whose
+        attempt failed.  The pool is rebuilt, and only the unit a crashed
+        worker was running (its token on the crash board) is charged; the
+        other units resubmit untouched.  When the board names no culprit
+        and several units were in flight, none is charged: they run one
+        at a time until each completes or breaks the pool alone, and only
+        a unit that breaks it alone loses an attempt.
         """
         from concurrent.futures import FIRST_COMPLETED, wait
         from concurrent.futures.process import BrokenProcessPool
@@ -198,8 +283,11 @@ class ExecutionEngine:
         done_count = 0
         first_start: Dict[int, float] = {}
         ready: Deque[Tuple[int, int]] = deque((i, 1) for i in pending)  # (index, attempt#)
+        suspects: Deque[Tuple[int, int]] = deque()  # in flight at an unexplained break
         delayed: List[Tuple[float, int, int]] = []  # heap of (due, index, attempt#)
-        inflight: Dict[Any, Tuple[int, int, Optional[float]]] = {}  # future -> (index, attempt#, deadline)
+        # future -> (index, attempt#, deadline, crash-board token)
+        inflight: Dict[Any, Tuple[int, int, Optional[float], int]] = {}
+        tokens = itertools.count(1)
 
         def fail_attempt(idx: int, attempt: int, exc: BaseException) -> None:
             """One attempt died; schedule the retry or finalize the cell."""
@@ -222,35 +310,52 @@ class ExecutionEngine:
             done_count += 1
             on_complete(idx, cell, attempt)
 
+        def submit(queue: Deque[Tuple[int, int]]) -> bool:
+            """Submit the head of ``queue``; False if the pool is broken."""
+            idx, attempt = queue[0]
+            unit = units[idx]
+            run = execute_prepared if isinstance(unit, PreparedTask) else execute_unit
+            token = next(tokens)
+            try:
+                future = pool.submit(_run_marked, token, run, unit)
+            except BrokenProcessPool:
+                return False
+            queue.popleft()
+            first_start.setdefault(idx, time.monotonic())
+            deadline = (time.monotonic() + policy.timeout_s) if policy.timeout_s else None
+            inflight[future] = (idx, attempt, deadline, token)
+            return True
+
         try:
             while done_count < len(pending):
                 now = time.monotonic()
                 while delayed and delayed[0][0] <= now:
                     _, idx, attempt = heapq.heappop(delayed)
                     ready.append((idx, attempt))
-                while ready and len(inflight) < workers:
-                    idx, attempt = ready.popleft()
-                    first_start.setdefault(idx, time.monotonic())
-                    unit = units[idx]
-                    if isinstance(unit, PreparedTask):
-                        future = pool.submit(execute_prepared, unit)
-                    else:
-                        future = pool.submit(execute_unit, unit)
-                    deadline = (time.monotonic() + policy.timeout_s) if policy.timeout_s else None
-                    inflight[future] = (idx, attempt, deadline)
+                # a suspect runs alone; the rest wait for the suspects
+                queue, room = (suspects, 1) if suspects else (ready, workers)
+                while queue and len(inflight) < room:
+                    if not submit(queue):
+                        if not inflight:  # broke between batches: nothing to charge
+                            _terminate_pool(pool)
+                            pool = self._make_pool(workers)
+                        break
                 if not inflight:
+                    if ready or suspects:
+                        continue
                     # everything outstanding is waiting out a backoff
                     time.sleep(max(0.0, delayed[0][0] - time.monotonic()))
                     continue
-                wakeups = [dl for (_, _, dl) in inflight.values() if dl is not None]
+                wakeups = [dl for (_, _, dl, _) in inflight.values() if dl is not None]
                 if delayed:
                     wakeups.append(delayed[0][0])
                 timeout = max(0.01, min(wakeups) - time.monotonic()) if wakeups else None
                 done, _ = wait(set(inflight), timeout=timeout, return_when=FIRST_COMPLETED)
 
-                broken = False
+                lost: List[Tuple[int, int, Optional[float], int]] = []
                 for future in done:
-                    idx, attempt, _deadline = inflight.pop(future)
+                    entry = inflight.pop(future)
+                    idx, attempt = entry[0], entry[1]
                     try:
                         value = future.result()
                         done_count += 1
@@ -258,24 +363,28 @@ class ExecutionEngine:
                     except (KeyboardInterrupt, SystemExit):
                         raise
                     except BrokenProcessPool as exc:
-                        broken = True
-                        fail_attempt(idx, attempt, exc)
+                        lost.append(entry)
+                        broke = exc
                     except Exception as exc:
                         fail_attempt(idx, attempt, exc)
-                if broken:
-                    # the pool is unusable; any future it had not yet failed
-                    # is resubmitted with its attempt count untouched
-                    ready.extend((idx, attempt) for (idx, attempt, _dl) in inflight.values())
+                if lost:
+                    # the pool is unusable: every unit still in flight is lost too
+                    lost.extend(inflight.values())
                     inflight.clear()
-                    _terminate_pool(pool)
+                    crashed = _crashed_tokens(pool)
                     pool = self._make_pool(workers)
+                    guilty = [e for e in lost if e[3] in crashed] or (lost if len(lost) == 1 else [])
+                    for idx, attempt, _dl, _token in guilty:
+                        fail_attempt(idx, attempt, broke)
+                    innocent = [(e[0], e[1]) for e in lost if e not in guilty]
+                    (ready if guilty else suspects).extend(innocent)
                     continue
 
                 now = time.monotonic()
-                expired = [f for f, (_, _, dl) in inflight.items() if dl is not None and now >= dl and not f.done()]
+                expired = [f for f, (_, _, dl, _) in inflight.items() if dl is not None and now >= dl and not f.done()]
                 if expired:
                     for future in expired:
-                        idx, attempt, _deadline = inflight.pop(future)
+                        idx, attempt, _deadline, _token = inflight.pop(future)
                         fail_attempt(
                             idx,
                             attempt,
@@ -285,7 +394,7 @@ class ExecutionEngine:
                         )
                     # the hung workers still occupy pool slots: rebuild, and
                     # resubmit the units that were merely sharing the pool
-                    ready.extend((idx, attempt) for (idx, attempt, _dl) in inflight.values())
+                    ready.extend((idx, attempt) for (idx, attempt, _dl, _t) in inflight.values())
                     inflight.clear()
                     _terminate_pool(pool)
                     pool = self._make_pool(workers)

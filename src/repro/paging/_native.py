@@ -1,12 +1,12 @@
 """Compiled kernel primitives: the production kernel tier.
 
 The numpy fast path (:mod:`repro.paging.kernel`) already amortizes the
-reuse-distance precompute, but six inner loops remain bound by python
+reuse-distance precompute, but seven inner loops remain bound by python
 or by O(window) vectorized work per probe:
 
 * the reuse-distance sweep (a python Fenwick loop beyond the vectorized
-  build cutoff, O(n²/chunk) numpy below it, and an argsort plus a
-  re-sweep of the whole window per chunk a stream appends).  Compiled,
+  build cutoff, O(n log² n) numpy below it, and an argsort plus a
+  histogram of the whole window per chunk a stream appends).  Compiled,
   it is the streaming window's append (``repro_stream_append``): the
   window's columns, Fenwick tree and page table live in one block the
   :class:`repro.paging.kernel.StreamKernel` owns, a chunk costs
@@ -18,18 +18,22 @@ or by O(window) vectorized work per probe:
 * GLOBAL-LRU's shared-cache event loop (one python LRU touch and heap
   step per request, :class:`repro.parallel.timestep.GlobalLRU`),
 * DET-PAR's event loop (one python heap step, segment and box record per
-  event, :class:`repro.core.det_par.DetPar`), and
+  event, :class:`repro.core.det_par.DetPar`),
+* RAND-PAR's chunk schedule (one python box call and record per box,
+  :class:`repro.core.rand_par.RandPar`), and
 * Belady's MIN (one python dict probe and heap step per request,
   :class:`repro.paging.belady.BeladySimulation`), under every certified
   lower bound.  Compiled, it is one call per column
   (``repro_min_run``) with its own page table and heap in scratch the
   call allocates.
 
-Both event loops keep their state in int64 arrays the caller owns, so a
-call returns to the caller when it needs python — GLOBAL-LRU when a
-processor's chunk runs out, DET-PAR when a box runs past a processor's
-window, a phase ends or its record buffer fills — and resumes where it
-stopped; a streamed run never holds more than one window per processor.
+The three simulator loops keep their state in int64 arrays the caller
+owns, so a call returns to the caller when it needs python — GLOBAL-LRU
+when a processor's chunk runs out; DET-PAR and RAND-PAR when a box runs
+past a processor's window, their record buffer fills, or a phase
+(DET-PAR) or chunk (RAND-PAR) ends — and resumes where it stopped; a
+streamed run never holds more than one window per processor.  DET-PAR
+and RAND-PAR share one window check and one box-and-record step.
 The C code keeps no static or global state: ctypes releases the GIL, so
 threads may run loops side by side.
 
@@ -38,8 +42,8 @@ the system C compiler (``$CC``, default ``cc``) into a content-addressed
 shared library and loads it through :mod:`ctypes` (no third-party
 dependency at all).  Every value it produces — reuse distances, box
 endpoints, DP distances and parent pointers, GLOBAL-LRU completion times
-and counts, DET-PAR's completions, box records and phases, MIN's fault
-counts — is bit-identical to the numpy fast path (or python loop) and to
+and counts, DET-PAR's and RAND-PAR's completions and box records, MIN's
+fault counts — is bit-identical to the numpy fast path (or python loop) and to
 the reference.  With ``$REPRO_KERNEL`` unset the kernel runs on this
 tier whenever the library builds; when it cannot be built (no compiler)
 :func:`native_ops` returns ``None`` and the kernel falls back to the
@@ -343,6 +347,36 @@ out:
     return status;
 }
 
+/* The two steps DET-PAR's and RAND-PAR's loops share.  Each processor
+ * has a window row in win: 4 words, its prev and reuse column addresses,
+ * the global position of column row 0, and one past the last row swept.
+ *
+ * win_short: does processor i's window reach the last row a box of
+ * `budget` from row pos can serve, min(pos + budget, n)?  Returns 0 when
+ * it does, else that row (> 0), which the caller hands back to python. */
+static int64_t win_short(const int64_t *win, int64_t i, int64_t pos,
+                         int64_t budget, int64_t n) {
+    int64_t upto = budget < n - pos ? pos + budget : n;
+    return win[4 * i + 3] >= upto ? 0 : upto;
+}
+
+/* box_record: run processor i's box of height h, reserved over [start,
+ * end), from row pos over its window, and write its record r: the
+ * BoxRecord fields, the tag as its code.  Returns the first row not
+ * served; the time it used goes to *used. */
+static int64_t box_record(const int64_t *win, int64_t *r, int64_t i, int64_t pos,
+                          int64_t h, int64_t start, int64_t end, int64_t s,
+                          int64_t phase, int64_t tag, int64_t *used) {
+    const int64_t *w = win + 4 * i;
+    int64_t hits, stop;
+    stop = box_walk((const int64_t *)(intptr_t)w[0], (const int64_t *)(intptr_t)w[1],
+                    pos - w[2], w[3] - w[2], pos, h, end - start, s, &hits, used)
+           + w[2];
+    r[0] = i; r[1] = h; r[2] = start; r[3] = end; r[4] = pos; r[5] = stop;
+    r[6] = hits; r[7] = stop - pos - hits; r[8] = phase; r[9] = tag;
+    return stop;
+}
+
 /* DET-PAR's event loop (repro.core.det_par.DetPar) over caller-owned
  * state, resumable like repro_lru_run:
  *   st    the DP_* scalars below
@@ -351,8 +385,7 @@ out:
  *         event of strip level -1 - a in epoch b.  Events pop in (time,
  *         push number) order, EventScheduler's order.
  *   proc  DP_PROC per processor: the PR_* fields (height 0 = no segment)
- *   win   4 per processor: prev and reuse column addresses, the global
- *         position of column row 0, and one past the last row swept
+ *   win   the window rows above
  *   lev   3 per strip level: height, slots, round-robin pointer
  *   rec   10 per box record: BoxRecord's fields, the tag as 0 base, 1 strip
  * It returns before it changes any state of the step it stops at, and
@@ -410,12 +443,8 @@ static void ev_pop(int64_t *st, int64_t *heap) {
 static int dp_covered(int64_t *st, const int64_t *proc, const int64_t *win,
                       int64_t i, int64_t t) {
     const int64_t *pr = proc + DP_PROC * i;
-    int64_t budget = t - pr[PR_START], upto = pr[PR_POS] + budget;
-    if (!pr[PR_H] || budget <= 0)
-        return 1;
-    if (upto > pr[PR_N])
-        upto = pr[PR_N];
-    if (win[4 * i + 3] >= upto)
+    int64_t budget = t - pr[PR_START], upto;
+    if (!pr[PR_H] || budget <= 0 || !(upto = win_short(win, i, pr[PR_POS], budget, pr[PR_N])))
         return 1;
     st[DP_UPTO] = upto;
     return 0;
@@ -424,20 +453,15 @@ static int dp_covered(int64_t *st, const int64_t *proc, const int64_t *win,
 /* finalize(i, t): run processor i's segment up to time t as one box. */
 static void dp_finalize(int64_t *st, int64_t *proc, const int64_t *win,
                         int64_t *rec, int64_t *completion, int64_t i, int64_t t) {
-    int64_t *pr = proc + DP_PROC * i, *r;
-    const int64_t *w = win + 4 * i;
-    int64_t h = pr[PR_H], start = pr[PR_START], pos = pr[PR_POS], end, hits, used;
+    int64_t *pr = proc + DP_PROC * i;
+    int64_t h = pr[PR_H], start = pr[PR_START], end, used;
     if (!h)
         return;
     pr[PR_H] = 0;
     if (t - start <= 0)
         return;
-    end = box_walk((const int64_t *)(intptr_t)w[0], (const int64_t *)(intptr_t)w[1],
-                   pos - w[2], w[3] - w[2], pos, h, t - start, st[DP_S], &hits, &used)
-          + w[2];
-    r = rec + 10 * st[DP_NREC]++;
-    r[0] = i; r[1] = h; r[2] = start; r[3] = t; r[4] = pos; r[5] = end;
-    r[6] = hits; r[7] = end - pos - hits; r[8] = st[DP_PHASE]; r[9] = pr[PR_TAG];
+    end = box_record(win, rec + 10 * st[DP_NREC]++, i, pr[PR_POS], h, start, t,
+                     st[DP_S], st[DP_PHASE], pr[PR_TAG], &used);
     pr[PR_POS] = end;
     if (end >= pr[PR_N] && !pr[PR_DONE]) {
         pr[PR_DONE] = 1;
@@ -546,6 +570,80 @@ int64_t repro_detpar_run(int64_t *st, int64_t *heap, int64_t *proc,
     }
 }
 
+/* RAND-PAR's chunk schedule (repro.core.rand_par.RandPar) over
+ * caller-owned state, resumable like repro_detpar_run:
+ *   st    the RP_* scalars below; the caller plans each chunk (RP_A to
+ *         RP_BS) and zeroes its cursor (RP_ROUND to RP_NBATCH)
+ *   proc  3 per processor: position, length, done
+ *   win   the window rows above
+ *   act   the RP_A processors active at the chunk start, ascending
+ *   rec   repro_detpar_run's records, the tag as 0 primary, 1 secondary
+ * A chunk is RP_ROUNDS rounds, in each of which every processor of act
+ * not yet done runs one box of height RP_HMIN, then act split in batches
+ * of RP_BS, in each of which every processor not yet done runs one box
+ * of height RP_J.  Every box lasts s * height.  A round advances the
+ * clock even when no box ran; a batch only when one did.
+ * It returns before it changes any state of the step it stops at:
+ *   i >= 0  processor i's window ends before st[RP_UPTO], the end of the
+ *           box it is about to run;
+ *   -2      the chunk ended (again, until the caller plans the next);
+ *   -3      the record buffer is full. */
+enum { RP_T, RP_REMAINING, RP_PHASE, RP_NREC, RP_RECCAP, RP_UPTO, RP_S, RP_A,
+       RP_HMIN, RP_ROUNDS, RP_J, RP_BS, RP_ROUND, RP_K, RP_LO, RP_RAN, RP_NPRIM,
+       RP_NSEC, RP_NBATCH, RP_LEN };
+
+int64_t repro_randpar_run(int64_t *st, int64_t *proc, const int64_t *win,
+                          const int64_t *act, int64_t *rec, int64_t *completion) {
+    const int64_t s = st[RP_S], a = st[RP_A], rounds = st[RP_ROUNDS], bs = st[RP_BS];
+    int64_t primary, h, k, lo, i, end, used, upto, *pr;
+    for (;;) {
+        if (st[RP_ROUND] > rounds)
+            return -2;
+        primary = st[RP_ROUND] < rounds;
+        h = primary ? st[RP_HMIN] : st[RP_J];
+        k = st[RP_K];
+        lo = st[RP_LO];
+        if (k == (primary || a - lo <= bs ? a : lo + bs)) {  /* a round or batch ends */
+            if (primary) {
+                st[RP_T] += s * h;
+                st[RP_ROUND]++;
+                st[RP_K] = 0;
+            } else {
+                if (st[RP_RAN]) {
+                    st[RP_T] += s * h;
+                    st[RP_NBATCH]++;
+                    st[RP_RAN] = 0;
+                }
+                st[RP_LO] = k;
+                if (k == a)
+                    st[RP_ROUND]++;
+            }
+            continue;
+        }
+        i = act[k];
+        pr = proc + 3 * i;
+        if (!pr[2]) {
+            if (st[RP_NREC] == st[RP_RECCAP])
+                return -3;
+            if ((upto = win_short(win, i, pr[0], s * h, pr[1]))) {
+                st[RP_UPTO] = upto;
+                return i;
+            }
+            end = box_record(win, rec + 10 * st[RP_NREC]++, i, pr[0], h, st[RP_T],
+                             st[RP_T] + s * h, s, st[RP_PHASE], !primary, &used);
+            pr[0] = end;
+            if (end >= pr[1]) {
+                pr[2] = 1;
+                st[RP_REMAINING]--;
+                completion[i] = st[RP_T] + used;
+            }
+            st[primary ? RP_NPRIM : RP_NSEC]++;
+            st[RP_RAN] = !primary;
+        }
+        st[RP_K] = k + 1;
+    }
+}
+
 /* Belady's MIN over one column (repro.paging.belady): the faults serving
  * seq[0, n) with 1 <= cap <= n resident pages.  scratch holds n +
  * max(2^bits, n + 1 + cap) words:
@@ -646,6 +744,10 @@ class NativeOps:
     #: ``step``: DET-PAR's event loop bound to those state arrays (layout
     #: and return codes on ``repro_detpar_run``); ``step`` holds them alive.
     detpar_loop: Callable[..., Callable[[], int]]
+    #: ``randpar_loop(st, proc, win, act, rec, completion)`` -> ``step``:
+    #: RAND-PAR's chunk schedule bound to those state arrays (layout and
+    #: return codes on ``repro_randpar_run``); ``step`` holds them alive.
+    randpar_loop: Callable[..., Callable[[], int]]
     #: ``min_faults(seq, capacity)`` -> Belady's MIN fault count over the
     #: column ``seq`` (converted to contiguous int64) at ``capacity >= 1``
     #: (``repro_min_run``, O(n log n) time, O(n) scratch words per call).
@@ -747,12 +849,13 @@ def _cc_ops() -> Optional[NativeOps]:
         ("repro_stream_append", [p_i64, p_i64, c_i64, c_i64]),
         ("repro_lru_run", [c_i64, c_i64] + [p_i64] * 6),
         ("repro_detpar_run", [p_i64] * 7),
+        ("repro_randpar_run", [p_i64] * 6),
         ("repro_min_run", [p_i64, c_i64, c_i64, c_i64, p_i64]),
     ):
         fn = getattr(lib, name)
         fn.argtypes = argtypes
         fn.restype = None
-    for name in ("repro_stream_append", "repro_lru_run", "repro_detpar_run", "repro_min_run"):
+    for name in ("repro_stream_append", "repro_lru_run", "repro_detpar_run", "repro_randpar_run", "repro_min_run"):
         getattr(lib, name).restype = c_i64
 
     ptr = address
@@ -795,6 +898,9 @@ def _cc_ops() -> Optional[NativeOps]:
     def detpar_loop(*state):
         return bind(lib.repro_detpar_run, state=state)
 
+    def randpar_loop(*state):
+        return bind(lib.repro_randpar_run, state=state)
+
     def min_faults(seq, capacity):
         if capacity < 1:
             raise ValueError(f"Belady capacity must be >= 1, got {capacity}")
@@ -811,6 +917,7 @@ def _cc_ops() -> Optional[NativeOps]:
         stream_append=stream_append,
         lru_loop=lru_loop,
         detpar_loop=detpar_loop,
+        randpar_loop=randpar_loop,
         min_faults=min_faults,
     )
 

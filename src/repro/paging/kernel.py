@@ -29,7 +29,7 @@ rows, selected by ``$REPRO_KERNEL``:
 
 * ``native`` (the default when unset) routes the reuse-distance sweep,
   the streaming window's append, the box service walk, the offline DP
-  relaxation and the GLOBAL-LRU and DET-PAR event loops through the
+  relaxation and the GLOBAL-LRU, DET-PAR and RAND-PAR loops through the
   cc-compiled primitives of :mod:`repro.paging._native`;
 * ``fast`` is the numpy path below, which is also what ``native``
   resolves to when the compiled library cannot be built (no usable C
@@ -60,7 +60,8 @@ Two kernel flavors:
   delivers them and the swept prefix is compacted away as execution
   passes it, so bounded-memory streaming keeps bounded memory.  On the
   native tier its window lives in one block it owns and grows, which
-  the box probe and the compiled DET-PAR loop read in place.
+  the box probe and the compiled DET-PAR and RAND-PAR loops read in
+  place.
 """
 
 from __future__ import annotations
@@ -123,63 +124,84 @@ _WIN_TABLE_BITS = 6
 #: overhead ~_PLAN_BLOCK-fold over the per-probe path.
 _PLAN_BLOCK = 32
 
-#: The chunked vectorized reuse-distance build does O(n²/chunk) work in
-#: its cross-chunk prefix counts, so it only runs below this length; the
-#: O(n log n) Fenwick sweep takes over beyond it.
+#: The vectorized reuse-distance build (O(n log² n) work, a dozen numpy
+#: calls per doubling level) holds 32 bytes of comparison leaves per
+#: request at once, so it runs up to this length; the O(n log n) python
+#: Fenwick sweep takes over beyond it.
 _VEC_BUILD_MAX = 16384
-_BUILD_CHUNK = 128
+#: Positions per block whose pairs the build counts with one comparison
+#: matrix, before its sort-and-search levels take over.
+_MERGE_LEAF = 32
+_EARLIER = np.arange(_MERGE_LEAF) < np.arange(_MERGE_LEAF)[:, np.newaxis]  # [i, v]: v < i
 
 
-def _reuse_vectorized(prev: np.ndarray, nxt: np.ndarray, n: int, start: int = 0) -> np.ndarray:
-    """Chunked numpy reuse-distance computation (no per-request Python).
+def _earlier_greater(vals: np.ndarray) -> np.ndarray:
+    """Per position ``i``, ``#{v < i: vals[v] > vals[i]}`` (``vals >= -1``).
 
-    Position ``x`` stops being its page's most recent occurrence — is
-    *deleted* — once ``nxt[x]`` has passed, so for ``j = prev[i]``::
+    Within blocks of ``_MERGE_LEAF`` positions, one comparison matrix
+    counts every pair.  Then bottom-up merge counting: at the level of
+    span ``w``, positions pair up in groups of ``2w``, and each position
+    in a group's second half counts the greater values in its first
+    half, one sort and one ``searchsorted`` for every group at once (each
+    group's sorted first half is offset by the group's index times a
+    bound on the values, so the halves concatenate into one sorted
+    array).  Every earlier position meets a later one in exactly one
+    block or level.  The padding after the last position is later than
+    every position, so it counts nothing.
+    """
+    c = len(vals)
+    size = 1 << max(0, (c - 1).bit_length())
+    keys = np.zeros(size, dtype=np.int64)
+    keys[:c] = vals
+    keys += 1
+    bound = int(keys.max()) + 1
+    w = min(size, _MERGE_LEAF)
+    leaves = keys.reshape(size // w, w)
+    pairs = (leaves[:, np.newaxis, :] > leaves[:, :, np.newaxis]) & _EARLIER[:w, :w]
+    out = np.count_nonzero(pairs, axis=2).ravel()
+    while w < size:
+        g = size // (2 * w)
+        pairs = keys.reshape(g, 2, w)
+        off = np.arange(0, g * bound, bound, dtype=np.int64)[:, np.newaxis]
+        first = np.sort(pairs[:, 0, :], axis=1)
+        first += off
+        # in group k: k*w first-half keys of earlier groups, then those <= v
+        upto = np.searchsorted(first.ravel(), pairs[:, 1, :] + off, side="right")
+        out.reshape(g, 2, w)[:, 1, :] += np.arange(w, (g + 1) * w, w)[:, np.newaxis] - upto
+        w *= 2
+    return out[:c]
 
-        reuse[i] = #actives in (j, i) = (i - 1 - j) - #{x in (j, i): nxt[x] < i}
 
-    Per chunk ``[a, b)``, the deleted count splits into parts that are
-    each one cumsum away: pairs with ``j >= a`` read a within-chunk
-    matrix ``W[x, i] = nxt[x] < i``; pairs reaching back past ``a`` add
-    pre-chunk positions already dead at the chunk start (a prefix count
-    over ``nxt < a``) and pre-chunk positions dying inside the chunk
-    (their killers ``y = nxt[x]`` lie in the chunk, so ``x = prev[y]``
-    ranges over one chunk-sized array).
+def _reuse_vectorized(prev: np.ndarray, start: int = 0) -> np.ndarray:
+    """Vectorized reuse distances of the rows ``>= start`` of a column
+    with previous occurrences ``prev`` (no per-request Python).
+
+    Position ``x`` stops being its page's most recent occurrence once its
+    next occurrence ``v`` has passed, and then ``prev[v] = x``; so for
+    ``j = prev[i]`` the pages deleted in ``(j, i)`` are the ``v < i`` with
+    ``prev[v] > j``, and::
+
+        reuse[i] = (i - 1 - j) - #{v < i: prev[v] > prev[i]}
+
+    a per-position count of earlier greater values (:func:`_earlier_greater`).
 
     ``start`` restricts the computation to positions ``>= start``
     (positions below it come back ``_COLD``): the streaming kernel knows
     reuse distances of already-swept rows can never change, so it only
-    pays for the appended suffix.
+    pays for the appended suffix.  The rows before ``start`` enter as one
+    histogram of their ``prev`` values per call.
     """
+    n = len(prev)
     reuse = np.full(n, _COLD, dtype=np.int64)
-    step = _BUILD_CHUNK
-    for a in range(start, n, step):
-        b = min(n, a + step)
-        prev_c = prev[a:b]
-        warm = prev_c >= 0
-        if not warm.any():
-            continue
-        m = b - a
-        idx = np.arange(a, b, dtype=np.int64)
-        irel = np.arange(m)
-        prefix = np.maximum(irel - 1, 0)
-        W = nxt[a:b, np.newaxis] < idx[np.newaxis, :]
-        Wc = W.cumsum(axis=0, dtype=np.int32)
-        top_w = np.where(irel > 0, Wc[prefix, irel], 0)
-        jrel = prev_c - a
-        within = jrel >= 0
-        d_within = top_w - Wc[np.maximum(jrel, 0), irel]
-        if a > 0:
-            dead_at_a = np.cumsum(nxt[:a] < a, dtype=np.int64)
-            g1 = dead_at_a[a - 1] - dead_at_a[np.clip(prev_c, 0, a - 1)]
-            pre_chunk_kill = warm & (prev_c < a)
-            N = (prev_c[:, np.newaxis] > prev_c[np.newaxis, :]) & pre_chunk_kill[:, np.newaxis]
-            Nc = N.cumsum(axis=0, dtype=np.int32)
-            g2 = np.where(irel > 0, Nc[prefix, irel], 0)
-            dead = np.where(within, d_within, g1 + g2 + top_w)
-        else:
-            dead = d_within
-        reuse[a:b] = np.where(warm, (idx - 1 - prev_c) - dead, _COLD)
+    vals = prev[start:]
+    if not len(vals):
+        return reuse
+    dead = _earlier_greater(vals)
+    if start:
+        # rows before start hold prev + 1 in [0, start): count those > j + 1
+        at_most = np.cumsum(np.bincount(prev[:start] + 1, minlength=start + 1))
+        dead += start - at_most[np.clip(vals + 1, 0, start)]
+    reuse[start:] = np.where(vals >= 0, np.arange(start - 1, n - 1) - vals - dead, _COLD)
     return reuse
 
 
@@ -347,7 +369,7 @@ class SequenceKernel(_KernelOps):
     """Per-sequence reuse-distance precompute for the fast box engine.
 
     Construction computes ``prev_occ``/``reuse_dist`` once — compiled
-    on the native tier; on the numpy tier a chunked vectorized pass for
+    on the native tier; on the numpy tier a vectorized merge count for
     typical lengths and an O(n log n) Fenwick sweep beyond
     ``_VEC_BUILD_MAX``; every box afterwards is one :meth:`box` walk
     over them.  Instances
@@ -395,10 +417,8 @@ class SequenceKernel(_KernelOps):
             same = arr[order[1:]] == arr[order[:-1]]
             prev[order[1:]] = np.where(same, order[:-1], -1)
         if n and n <= _VEC_BUILD_MAX:
-            nxt = np.full(n, n, dtype=np.int64)
-            nxt[order[:-1]] = np.where(same, order[1:], n)
             self._prev = prev
-            self._reuse = _reuse_vectorized(prev, nxt, n)
+            self._reuse = _reuse_vectorized(prev)
         else:
             # Fenwick sweep for reuse_dist, in deletion form: position j
             # is marked once its page reoccurs, so the distinct count
@@ -709,7 +729,7 @@ class StreamKernel(_KernelOps):
     :meth:`compact` only moves the window's start.  There the columns
     hold global previous-occurrence positions, so :meth:`box` probes the
     buffers in place, and :meth:`window` hands them to the compiled
-    DET-PAR loop.
+    DET-PAR and RAND-PAR loops.
 
     Local coordinates: position 0 is the oldest retained request;
     ``base`` is its global stream index.  Boxes must start at or after
@@ -792,7 +812,7 @@ class StreamKernel(_KernelOps):
         old = self._n
         window = np.concatenate([self._window, arr]) if old else arr.copy()
         n = len(window)
-        # prev/nxt over the whole window (cheap vectorized sorts); rows
+        # prev over the whole window (one vectorized sort); rows
         # whose true previous occurrence was compacted away come back -1,
         # which the box predicate treats exactly like the old clamped
         # negative offsets.
@@ -800,9 +820,7 @@ class StreamKernel(_KernelOps):
         order = np.argsort(window, kind="stable")
         same = window[order[1:]] == window[order[:-1]]
         prev[order[1:]] = np.where(same, order[:-1], -1)
-        nxt = np.full(n, n, dtype=np.int64)
-        nxt[order[:-1]] = np.where(same, order[1:], n)
-        reuse = _reuse_vectorized(prev, nxt, n, start=old)
+        reuse = _reuse_vectorized(prev, start=old)
         # already-swept rows keep their stored values (they cannot change)
         reuse[:old] = self._reuse
         self._window = window

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -176,6 +177,23 @@ class BoxRecord(NamedTuple):
     def reserved_impact(self) -> int:
         """Impact actually charged: height × reserved duration."""
         return self.height * self.duration
+
+
+#: Box records the compiled DET-PAR and RAND-PAR loops buffer between
+#: hand-backs: rows of :func:`drain_records`' ten columns.
+RECORD_ROWS = 256
+
+
+def drain_records(trace: List[BoxRecord], rows: np.ndarray, tags: Sequence[str]) -> None:
+    """Append a compiled loop's record rows to ``trace`` as box records.
+
+    Each row holds the ten fields in order, its tag as an index into
+    ``tags`` (the layout on ``repro_detpar_run`` and ``repro_randpar_run``).
+    """
+    cols = rows.T.tolist()
+    cols[9] = [tags[x] for x in cols[9]]
+    # tuple.__new__ skips the generated __new__'s frame per record
+    trace.extend(map(tuple.__new__, repeat(BoxRecord), zip(*cols)))
 
 
 @dataclass

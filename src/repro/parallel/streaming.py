@@ -9,8 +9,10 @@ position and compacts the served prefix behind it each time it appends.
 Resident state per processor is therefore bounded by the largest single
 box budget plus one store chunk — independent of trace length — while
 every box is still evaluated at kernel speed.  On the native tier the
-compiled DET-PAR loop probes the same windows in place and returns to
-python only when a box runs past one (:meth:`BoxFeed.ensure`).
+compiled DET-PAR and RAND-PAR loops probe the same windows in place
+(:meth:`BoxServer.window_rows`) and return to python only when a box
+runs past one (:meth:`BoxServer.refill`, which calls
+:meth:`BoxFeed.ensure`).
 
 The serving indirection is :func:`make_box_server`: every box algorithm
 (RAND-PAR, DET-PAR, black-box packing) asks the server to run a box for a
@@ -137,9 +139,9 @@ class BoxFeed:
     ``serve`` appends just enough chunks to cover the box budget (a box
     with time budget ``d`` serves at most ``d`` requests, since a hit
     costs one step), then evaluates the box on the :class:`StreamKernel`
-    in global coordinates.  The compiled DET-PAR loop reads the same
-    window through :meth:`StreamKernel.window`, and calls :meth:`ensure`
-    when a box runs past it.
+    in global coordinates.  The compiled DET-PAR and RAND-PAR loops read
+    the same window through :meth:`StreamKernel.window`, and call
+    :meth:`ensure` when a box runs past it.
 
     ``position`` is the processor's execution position: no future box
     starts before it.  The feed compacts the window up to it whenever it
@@ -211,8 +213,8 @@ class BoxServer:
     one under ``REPRO_KERNEL=reference`` (its memory-mapped column,
     OS-paged rather than chunk-bounded), by the tier's box walk from
     :func:`~repro.paging.kernel.box_walk`.  On the native tier every walk
-    is its column's ``SequenceKernel``, which the compiled DET-PAR loop
-    probes in place.
+    is its column's ``SequenceKernel``, which the compiled DET-PAR and
+    RAND-PAR loops probe in place.
     """
 
     def __init__(self, workload, miss_cost: int) -> None:
@@ -242,6 +244,29 @@ class BoxServer:
         if self._feeds is not None:
             return self._feeds[proc].serve(pos, height, budget, self.miss_cost)
         return self._walks[proc](pos, height, budget, self.miss_cost)
+
+    def window_rows(self) -> np.ndarray:
+        """The compiled box loops' window rows, one ``(prev address, reuse
+        address, origin, stop)`` row per processor (the layout on
+        ``repro_detpar_run`` and ``repro_randpar_run``).
+
+        Native tier only, where every walk is a ``SequenceKernel`` and
+        every feed's kernel a compiled window.  The rows stay valid while
+        this server lives, except a streamed processor's after its feed
+        appends; :meth:`refill` rewrites that row.
+        """
+        kernels = [f.kernel for f in self._feeds] if self._feeds is not None else self._walks
+        return np.array([k.window() for k in kernels], dtype=np.int64).reshape(self.p, 4)
+
+    def refill(self, win: np.ndarray, proc: int, pos: int, upto: int) -> None:
+        """Hand-back of a compiled box loop: ``proc``'s window ends before
+        row ``upto``, and its next box starts at ``pos``.  Its feed pulls
+        chunks until it covers ``upto`` (raising, like :meth:`serve`, when
+        the stream ends first), and ``win``'s row is rewritten."""
+        feed = self._feeds[proc]
+        feed.position = pos
+        feed.ensure(upto)
+        win[proc] = feed.kernel.window()
 
     def resident_rows(self) -> int:
         """Total rows retained across stream feeds (0 when not streaming)."""

@@ -34,11 +34,11 @@ import struct
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..workloads.trace import ParallelWorkload
+from ..workloads.trace import ParallelWorkload, distinct_sorted, first_shared_page
 from .errors import TraceCorruptError, TraceFormatError, TraceVersionError
 
 __all__ = [
@@ -256,6 +256,21 @@ class StoreWriter:
                     break
                 yield np.frombuffer(buf, dtype=_DTYPE)
 
+    def _first_conflict(self, proc: int, distinct: List[np.ndarray]) -> Tuple[int, int, int]:
+        """``(page, owner, proc)`` of the first chunk of column ``proc``
+        holding a page an earlier column holds: its least such page, and
+        the first column holding it.  ``proc`` is the first column that
+        shares a page (:func:`first_shared_page` over ``distinct``)."""
+        earlier = np.concatenate(distinct[:proc])
+        for chunk in self._iter_chunks(proc):
+            pages = distinct_sorted(chunk)
+            pages = pages[np.isin(pages, earlier)]
+            if len(pages):
+                page = int(pages[0])
+                owner = next(i for i in range(proc) if np.isin(page, distinct[i]))
+                return page, owner, proc
+        raise AssertionError(f"column {proc} shares no page")  # pragma: no cover
+
     def close(self) -> "TraceStore":
         """Assemble and atomically publish the store; returns it opened."""
         if self._closed:
@@ -263,34 +278,39 @@ class StoreWriter:
         for fh in self._spools.values():
             fh.close()
         p = max(max(self._rows) + 1 if self._rows else 0, self._min_p)
-        # pass 1: digests + disjointness (memory: O(distinct pages))
+        # pass 1: digests + distinct pages (memory past held columns: O(distinct pages))
         content = hashlib.sha256(b"repro-workload-v1")
         content.update(str(p).encode())
         columns: List[Dict[str, Any]] = []
-        owners: Dict[int, int] = {}
+        distinct: List[np.ndarray] = []
         offset = 0
         for proc in range(p):
             rows = self._rows.get(proc, 0)
             content.update(str(rows).encode())
             chunks: List[Dict[str, Any]] = []
+            pages = [np.empty(0, dtype=np.int64)]
+            held = self._held.get(proc)
             for chunk in self._iter_chunks(proc):
                 raw = chunk.tobytes()
                 content.update(raw)
                 hasher = _chunk_hasher(self.chunk_algo)
                 hasher.update(raw)
                 chunks.append({"rows": len(chunk), "digest": hasher.hexdigest()})
-                if not self.allow_shared:
-                    for page in np.unique(chunk).tolist():
-                        owner = owners.setdefault(int(page), proc)
-                        if owner != proc:
-                            self.abort()
-                            raise ValueError(
-                                f"trace {self.name!r}: page {int(page)} appears in "
-                                f"sequences {owner} and {proc} (pass allow_shared=True "
-                                "for the shared-pages model)"
-                            )
+                if not self.allow_shared and held is None:
+                    pages = _add_distinct(pages, chunk)
+            if not self.allow_shared:  # a column held in memory is checked whole
+                distinct.append(np.concatenate(pages) if held is None else held)
             columns.append({"rows": rows, "offset": offset, "chunks": chunks})
             offset += rows * _ROW_BYTES
+        shared = first_shared_page(distinct) if not self.allow_shared else None
+        if shared is not None:
+            page, owner, proc = self._first_conflict(shared[2], distinct)
+            self.abort()
+            raise ValueError(
+                f"trace {self.name!r}: page {page} appears in "
+                f"sequences {owner} and {proc} (pass allow_shared=True "
+                "for the shared-pages model)"
+            )
         header = {
             "format": "repro-trace-store",
             "version": STORE_VERSION,
@@ -338,6 +358,17 @@ class StoreWriter:
         finally:
             self.abort()
         return TraceStore(self.dest)
+
+
+def _add_distinct(parts: List[np.ndarray], chunk: np.ndarray) -> List[np.ndarray]:
+    """Fold one chunk's distinct pages into ``parts``, a spooled column's
+    pages so far: its distinct pages, then each chunk's since.  Once
+    those outgrow the first part, all merge into one, so a column holds
+    at most about twice its distinct pages plus one chunk's."""
+    parts.append(distinct_sorted(chunk))
+    if sum(len(x) for x in parts[1:]) > len(parts[0]):
+        parts = [distinct_sorted(np.concatenate(parts))]
+    return parts
 
 
 def write_store(

@@ -16,7 +16,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["ParallelWorkload", "disjointify", "PAGE_STRIDE"]
+__all__ = ["ParallelWorkload", "disjointify", "first_shared_page", "PAGE_STRIDE"]
 
 #: Relabeling stride: processor ``i``'s local page ``x`` becomes
 #: ``i * PAGE_STRIDE + x``.  2**40 local pages per processor is far beyond
@@ -33,6 +33,45 @@ def disjointify(sequences: Sequence[np.ndarray]) -> List[np.ndarray]:
             raise ValueError(f"sequence {i}: local page ids must lie in [0, {PAGE_STRIDE})")
         out.append(arr + np.int64(i) * np.int64(PAGE_STRIDE))
     return out
+
+
+def distinct_sorted(col: np.ndarray) -> np.ndarray:
+    """A column's distinct pages, ascending: ``np.unique``'s answer from
+    one sort, which on int64 columns is several times faster than the
+    hash pass ``np.unique`` makes first."""
+    pages = np.sort(np.asarray(col, dtype=np.int64))
+    if len(pages) < 2:
+        return pages
+    return pages[np.concatenate(([True], pages[1:] != pages[:-1]))]
+
+
+def first_shared_page(columns: Sequence[np.ndarray]) -> Optional[Tuple[int, int, int]]:
+    """The first page two columns share, as ``(page, owner, column)``, or None.
+
+    ``column`` is the first column holding a page some earlier column
+    holds, ``page`` the least such page in it, and ``owner`` the first
+    column holding ``page``: the conflict a scan of the columns in order,
+    each column's distinct pages in ascending order, meets first.  Each
+    column's distinct pages (:func:`distinct_sorted`), then one stable
+    sort across all of them, so memory stays O(distinct pages per column,
+    summed).
+    """
+    uniques = [distinct_sorted(col) for col in columns]
+    if len(uniques) < 2:
+        return None
+    pages = np.concatenate(uniques)
+    cols = np.repeat(np.arange(len(uniques)), [len(u) for u in uniques])
+    order = np.argsort(pages, kind="stable")  # a page's entries keep column order
+    pages, cols = pages[order], cols[order]
+    # a column holds each page once, so an entry repeating the page of
+    # the entry before it is a later column's: a conflict
+    later = np.flatnonzero(pages[1:] == pages[:-1]) + 1
+    if not len(later):
+        return None
+    column = cols[later].min()
+    page = pages[later[cols[later] == column][0]]  # entries ascend by page
+    owner = cols[np.searchsorted(pages, page)]
+    return int(page), int(owner), int(column)
 
 
 @dataclass
@@ -72,24 +111,13 @@ class ParallelWorkload:
     @property
     def is_shared(self) -> bool:
         """True iff any page appears in more than one sequence."""
-        seen: set = set()
-        for seq in self.sequences:
-            pages = set(np.unique(seq).tolist())
-            if seen & pages:
-                return True
-            seen |= pages
-        return False
+        return first_shared_page(self.sequences) is not None
 
     def _check_disjoint(self) -> None:
-        seen: Dict[int, int] = {}
-        for i, seq in enumerate(self.sequences):
-            for page in np.unique(seq):
-                owner = seen.get(int(page))
-                if owner is not None and owner != i:
-                    raise ValueError(
-                        f"workload {self.name!r}: page {int(page)} appears in sequences {owner} and {i}"
-                    )
-                seen[int(page)] = i
+        shared = first_shared_page(self.sequences)
+        if shared is not None:
+            page, owner, i = shared
+            raise ValueError(f"workload {self.name!r}: page {page} appears in sequences {owner} and {i}")
 
     # ------------------------------------------------------------------ #
     # shape

@@ -168,6 +168,117 @@ def test_killed_worker_keep_going_marks_only_victims():
         assert pickle.dumps(values[i]) == pickle.dumps(clean[i])
 
 
+def test_bystander_in_flight_at_both_kills_is_not_charged():
+    """The bystander sleeps through its first two runs, so it is in
+    flight both times the victim kills its worker; only the victim uses
+    up its attempts."""
+    units = green_units(4, tag="kill4")
+    clean = clean_serial_values(units)
+    policy = ExecutionPolicy(retries=1, backoff_s=0.01, keep_going=True)
+    telemetry = Telemetry()
+    with inject_faults("kill:kill4/u0:2", "hang:kill4/u1:2:0.5"):
+        values = ExecutionEngine(jobs=2, policy=policy, telemetry=telemetry).run(units)
+    assert isinstance(values[0], FailedCell)
+    assert values[0].error_type == "BrokenProcessPool" and values[0].attempts == 2
+    for i in range(1, 4):
+        assert pickle.dumps(values[i]) == pickle.dumps(clean[i])
+    assert [r.label for r in telemetry.failures()] == ["kill4/u0"]
+
+
+def _sigterm_is_default() -> bool:
+    import signal
+
+    return signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
+
+
+def test_bystander_not_charged_under_the_cli_signal_guard():
+    """`repro run`, `all` and `hunt` run the engine with SIGTERM raising
+    KeyboardInterrupt; forked workers must still die by the SIGTERM that
+    tears a broken pool down, or a bystander is charged for the break."""
+    from repro.cli import _SignalGuard
+
+    units = green_units(4, tag="kill6")
+    clean = clean_serial_values(units)
+    policy = ExecutionPolicy(retries=1, backoff_s=0.01, keep_going=True)
+    telemetry = Telemetry()
+    with _SignalGuard():
+        pool = ExecutionEngine(jobs=2)._make_pool(2)
+        try:
+            assert pool.submit(_sigterm_is_default).result(timeout=60)
+        finally:
+            pool.shutdown(wait=True)
+        with inject_faults("kill:kill6/u0:2", "hang:kill6/u1:2:0.5"):
+            values = ExecutionEngine(jobs=2, policy=policy, telemetry=telemetry).run(units)
+    assert isinstance(values[0], FailedCell)
+    assert values[0].error_type == "BrokenProcessPool" and values[0].attempts == 2
+    for i in range(1, 4):
+        assert pickle.dumps(values[i]) == pickle.dumps(clean[i])
+    assert [r.label for r in telemetry.failures()] == ["kill6/u0"]
+
+
+def test_crash_board_gives_each_worker_its_own_slot():
+    """More workers than cores claim their slots at once; each posts the
+    tokens of the units it runs in its own slot."""
+    import time
+
+    import repro.exec.engine as engine_mod
+
+    pool = ExecutionEngine(jobs=4)._make_pool(4)
+    try:
+        futures = [pool.submit(engine_mod._run_marked, t, time.sleep, 0.05) for t in range(1, 13)]
+        for future in futures:
+            future.result(timeout=60)
+        words = list(pool.crash_board[:])
+        assert sorted(words[0::2]) == sorted(pool._processes)
+        assert set(words[1::2]) - {0} <= set(range(1, 13))  # 0: ran none yet
+    finally:
+        pool.shutdown(wait=True)
+
+
+def _die_holding_the_lock(board) -> None:
+    board.get_lock().acquire()
+    os._exit(0)
+
+
+def test_crash_board_is_read_without_its_lock():
+    """A worker killed while it claims its slot (the pool's own teardown
+    SIGTERMs workers still starting up) leaves the board's lock taken for
+    good; reading the board after the break must not wait for it."""
+    import multiprocessing
+    import threading
+
+    import repro.exec.engine as engine_mod
+
+    pool = ExecutionEngine(jobs=2)._make_pool(2)
+    holder = multiprocessing.Process(target=_die_holding_the_lock, args=(pool.crash_board,))
+    holder.start()
+    holder.join(timeout=60)
+    found = []
+    reader = threading.Thread(target=lambda: found.append(engine_mod._crashed_tokens(pool)), daemon=True)
+    reader.start()
+    reader.join(timeout=30)
+    assert found == [set()]
+
+
+def test_unexplained_break_runs_the_units_in_flight_alone(monkeypatch):
+    """A break the crash board cannot explain charges none of the units
+    in flight: they rerun one at a time, and only the one that breaks
+    the pool alone loses its attempt."""
+    import repro.exec.engine as engine_mod
+
+    real = engine_mod._crashed_tokens
+    monkeypatch.setattr(engine_mod, "_crashed_tokens", lambda pool: real(pool) & set())
+    units = green_units(4, tag="kill5")
+    clean = clean_serial_values(units)
+    policy = ExecutionPolicy(retries=0, keep_going=True)
+    with inject_faults("kill:kill5/u0:0"):  # every run of u0 dies
+        values = ExecutionEngine(jobs=2, policy=policy).run(units)
+    assert isinstance(values[0], FailedCell)
+    assert values[0].error_type == "BrokenProcessPool" and values[0].attempts == 1
+    for i in range(1, 4):
+        assert pickle.dumps(values[i]) == pickle.dumps(clean[i])
+
+
 # --------------------------------------------------------------------- #
 # hang: per-unit timeout tears the pool down and moves on
 # --------------------------------------------------------------------- #

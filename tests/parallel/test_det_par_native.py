@@ -6,14 +6,13 @@ On the native kernel tier :meth:`DetPar.run` runs the whole schedule as
 and serves every box by the per-request dict-LRU walk.  Every run must agree on completion
 times, the full box trace and ``meta`` (phases, rebuild times, reserved
 peak), in memory and streamed at any chunk size, and must fail with the
-same error where the python loop fails.
+same error where the python loop fails (the harness in
+:mod:`.native_loops`, shared with RAND-PAR).
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -21,64 +20,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DetPar
-from repro.paging.kernel import KERNEL_ENV, clear_kernel_cache, native_flavor
-from repro.parallel import open_streaming
 from repro.parallel.events import EventScheduler
 from repro.parallel.streaming import BoxServer
-from repro.traces.store import write_store
 from repro.workloads import ParallelWorkload, cyclic, make_parallel_workload
 
-HAVE_NATIVE = native_flavor() is not None
-requires_native = pytest.mark.skipif(not HAVE_NATIVE, reason="compiled tier unavailable")
+from .native_loops import (
+    HAVE_NATIVE,
+    STREAMED,
+    assert_all_loops_agree,
+    assert_same,
+    det_par,
+    loop,
+    observe,
+    requires_native,
+    streamed,
+)
 
-#: REPRO_KERNEL per DET-PAR loop.
-LOOPS = {"compiled": "native", "python": "fast", "reference": "reference"}
-CHUNK_ROWS = (1, 2, 7, 64, 4096)
 KINDS = ["mixed_kinds", "cyclic", "zipf", "multiscale", "phased"]
-
-
-@contextmanager
-def loop(name):
-    """Pin the environment that selects one DET-PAR loop."""
-    saved = os.environ.get(KERNEL_ENV)
-    os.environ[KERNEL_ENV] = LOOPS[name]
-    clear_kernel_cache()
-    try:
-        yield
-    finally:
-        if saved is None:
-            os.environ.pop(KERNEL_ENV, None)
-        else:
-            os.environ[KERNEL_ENV] = saved
-        clear_kernel_cache()
-
-
-def observe(name, k, s, wl):
-    """Everything observable about one run, or the error it raised."""
-    with loop(name):
-        try:
-            res = DetPar(k, s).run(wl)
-        except ValueError as exc:
-            return ("ValueError", str(exc))
-    res.validate()
-    return res.completion_times.tolist(), list(res.trace), res.meta
-
-
-def streamed(wl, tmp_path, chunk_rows):
-    path = tmp_path / f"wl-{chunk_rows}-{len(list(tmp_path.iterdir()))}.trc"
-    return open_streaming(write_store(path, wl, chunk_rows=chunk_rows))
-
-
-def assert_all_loops_agree(wl, k, s, tmp_path, chunks=CHUNK_ROWS):
-    want = observe("python", k, s, wl)
-    assert observe("reference", k, s, wl) == want
-    if HAVE_NATIVE:
-        assert observe("compiled", k, s, wl) == want
-    for chunk_rows in chunks:
-        sw = streamed(wl, tmp_path, chunk_rows)
-        for name in ("compiled", "python") if HAVE_NATIVE else ("python",):
-            assert observe(name, k, s, sw) == want, f"{name} streamed at chunk_rows={chunk_rows}"
-    return want
 
 
 @requires_native
@@ -106,25 +64,25 @@ def test_loops_agree_in_memory(seed, p, extra, s, kind, n):
     # cache sizes and processor counts are mostly not powers of two
     k = p + extra
     wl = make_parallel_workload(p=p, n_requests=n, k=max(k, 1), rng=np.random.default_rng(seed), kind=kind)
-    want = observe("python", k, s, wl)
-    assert observe("reference", k, s, wl) == want
+    want = observe("python", det_par(k, s), wl)
+    assert_same(observe("reference", det_par(k, s), wl), want)
     if HAVE_NATIVE:
-        assert observe("compiled", k, s, wl) == want
+        assert_same(observe("compiled", det_par(k, s), wl), want)
 
 
 @pytest.mark.parametrize("k,p,s", [(48, 4, 4), (100, 5, 2), (12, 3, 8), (7, 1, 3), (37, 6, 3)])
 def test_loops_agree_streamed_at_every_chunk_size(tmp_path, k, p, s):
     wl = make_parallel_workload(p=p, n_requests=150, k=k, rng=np.random.default_rng(k * p))
-    completion, trace, meta = assert_all_loops_agree(wl, k, s, tmp_path)
+    completion, trace, meta = assert_all_loops_agree(det_par(k, s), wl, tmp_path)
     assert len(trace) > 0 and meta["phases"]
 
 
 def test_zero_length_columns(tmp_path):
     wl = ParallelWorkload.from_local([[], cyclic(30, 3), [], cyclic(9, 2)], name="gaps")
-    completion, trace, meta = assert_all_loops_agree(wl, 16, 3, tmp_path, chunks=(1, 7))
+    completion, trace, meta = assert_all_loops_agree(det_par(16, 3), wl, tmp_path, chunks=(1, 7))
     assert completion[0] == completion[2] == 0 and completion[1] > 0
     empty = ParallelWorkload.from_local([[], []], name="empty")
-    completion, trace, meta = assert_all_loops_agree(empty, 8, 2, tmp_path, chunks=(1,))
+    completion, trace, meta = assert_all_loops_agree(det_par(8, 2), empty, tmp_path, chunks=(1,))
     assert completion == [0, 0] and trace == [] and meta["phases"] == []
 
 
@@ -149,15 +107,15 @@ def test_processor_finishing_inside_a_preempted_segment(tmp_path, monkeypatch):
 
     monkeypatch.setattr(EventScheduler, "pop", logged_pop)
     monkeypatch.setattr(BoxServer, "serve", logged_serve)
-    observe("python", 8, 2, wl)
+    observe("python", det_par(8, 2), wl)
     monkeypatch.undo()
     assert any(a == "slot" and b == ("finished", 0) for a, b in zip(log, log[1:]))
-    assert_all_loops_agree(wl, 8, 2, tmp_path, chunks=(1, 4096))
+    assert_all_loops_agree(det_par(8, 2), wl, tmp_path, chunks=(1, 4096))
 
 
 def test_plan_that_does_not_fit_raises_the_same_error(tmp_path):
     wl = make_parallel_workload(p=8, n_requests=40, k=8, rng=np.random.default_rng(1))
-    err = assert_all_loops_agree(wl, 4, 2, tmp_path, chunks=(7,))
+    err = assert_all_loops_agree(det_par(4, 2), wl, tmp_path, chunks=(7,))
     assert err == ("ValueError", "cache_size=4 too small for 8 active processors")
 
 
@@ -166,6 +124,6 @@ def test_short_store_raises_like_global_lru(tmp_path):
     sw = streamed(wl, tmp_path, 8)
     full = sw.chunks
     sw.chunks = lambda proc: itertools.islice(full(proc), 2)  # ends at row 16 of 60
-    for name in ("compiled", "python") if HAVE_NATIVE else ("python",):
+    for name in STREAMED:
         with loop(name), pytest.raises(ValueError, match="declared length"):
             DetPar(16, 2).run(sw)
