@@ -40,10 +40,11 @@ loop — segment ends and strip slots in
 phase-end finalize — runs compiled as ``repro_detpar_run``
 (:mod:`repro.paging._native`) over state arrays :meth:`DetPar.run`
 owns.  Boxes are probed in place on each processor's columns: the cached
-:class:`~repro.paging.kernel.SequenceKernel` of an in-memory column, or
-the :class:`~repro.parallel.streaming.BoxFeed` window of a streamed one.
-Python runs only where the loop hands back: to pull chunks when a box
-runs past a window, to plan each phase, and to turn full record buffers
+:class:`~repro.paging.kernel.SequenceKernel` of an in-memory column, and
+for a streamed one its rows in the box server's arena when the store
+holds it as one chunk, else its :class:`~repro.parallel.streaming.BoxFeed`
+window.  Python runs only where the loop hands back: to pull chunks when
+a box runs past a multi-chunk column's window, to plan each phase, and to turn full record buffers
 into :class:`~repro.parallel.events.BoxRecord` lists.  The python event
 loop in :meth:`DetPar.run` is the no-compiler path and the differential
 oracle; both produce the same completions, trace and ``meta``.
@@ -360,8 +361,9 @@ class DetPar:
         The loop hands back to python at three points, each before it
         changes any state of the step it stops at: a processor's window
         ends before the box it is about to run (its :class:`BoxFeed`
-        pulls chunks until it covers the box — in-memory kernels cover
-        their whole column from the start), a phase ends (the next one
+        pulls chunks until it covers the box — in-memory kernels and the
+        arena of single-chunk columns cover their whole column from the
+        start), a phase ends (the next one
         is planned here, raising the same ``ValueError`` when it does not
         fit), or the record buffer is full.
         """

@@ -31,11 +31,12 @@ advancing the clock — run compiled as ``repro_randpar_run``
 (:mod:`repro.paging._native`) over state arrays :meth:`RandPar.run`
 owns.  Boxes are probed in place on each processor's columns: the
 cached :class:`~repro.paging.kernel.SequenceKernel` of an in-memory
-column, or the :class:`~repro.parallel.streaming.BoxFeed` window of a
-streamed one.  Python runs only where the loop hands back: to plan each
-chunk (the active processors, ``r``, the one height draw) and keep the
-chunk and phase bookkeeping, to pull chunks when a box runs past a
-window, and to turn full record buffers into
+column, and for a streamed one its rows in the box server's arena when
+the store holds it as one chunk, else its
+:class:`~repro.parallel.streaming.BoxFeed` window.  Python runs only
+where the loop hands back: to plan each chunk (the active processors,
+``r``, the one height draw) and keep the chunk and phase bookkeeping,
+to pull chunks when a box runs past a multi-chunk column's window, and to turn full record buffers into
 :class:`~repro.parallel.events.BoxRecord` lists.  The python loop in
 :meth:`RandPar.run` is the no-compiler path and the differential
 oracle; both produce the same completions, trace and ``meta``.  Each
@@ -307,7 +308,8 @@ class RandPar:
         runs its boxes.  It hands back before it changes any state of
         the step it stops at: when a processor's window ends before the
         box it is about to run (its :class:`BoxFeed` pulls chunks until
-        it covers the box; in-memory kernels cover their whole column),
+        it covers the box; in-memory kernels and the arena of
+        single-chunk columns cover their whole column),
         when the record buffer is full, and at the chunk's end.
         """
         K, s, p, n = self.cache_size, self.miss_cost, server.p, server.lengths

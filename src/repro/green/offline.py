@@ -98,6 +98,8 @@ def optimal_box_profile(
     solved = native_dp_solve(key, hladder, budgets, tuple(costs), s, _INF)
     if solved is not None:
         dist, parent_pos, parent_h = solved
+        # the traceback below walks plain ints, not numpy scalars
+        parent_pos, parent_h = parent_pos.tolist(), parent_h.tolist()
     else:
         # Batched relaxation: on the numpy tier, blocked windowed passes
         # yield the endpoints of every lattice height for a run of
@@ -111,8 +113,8 @@ def optimal_box_profile(
         # beyond the relaxation itself is sound in general.
         ends = ladder_ends(key, hladder, budgets, s)
         dist_l = [_INF] * (n + 1)
-        parent_pos_l = [-1] * (n + 1)
-        parent_h_l = [0] * (n + 1)
+        parent_pos = [-1] * (n + 1)
+        parent_h = [0] * (n + 1)
         dist_l[0] = 0
         for q in range(n):
             d = dist_l[q]
@@ -122,19 +124,17 @@ def optimal_box_profile(
                 nd = d + c
                 if nd < dist_l[end]:
                     dist_l[end] = nd
-                    parent_pos_l[end] = q
-                    parent_h_l[end] = h
+                    parent_pos[end] = q
+                    parent_h[end] = h
         dist = np.array(dist_l, dtype=np.int64)
-        parent_pos = np.array(parent_pos_l, dtype=np.int64)
-        parent_h = np.array(parent_h_l, dtype=np.int64)
     if dist[n] == _INF:
         raise RuntimeError("offline DP failed to reach the end of the sequence (bug)")
     # reconstruct
     rev: List[int] = []
     q = n
     while q != 0:
-        rev.append(int(parent_h[q]))
-        q = int(parent_pos[q])
+        rev.append(parent_h[q])
+        q = parent_pos[q]
     rev.reverse()
     # one counter per DP solve — never per endpoint probe: the relaxation
     # loop above probes O(n * levels) endpoints and must stay cheap

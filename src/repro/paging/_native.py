@@ -7,10 +7,15 @@ or by O(window) vectorized work per probe:
 * the reuse-distance sweep (a python Fenwick loop beyond the vectorized
   build cutoff, O(n log² n) numpy below it, and an argsort plus a
   histogram of the whole window per chunk a stream appends).  Compiled,
-  it is the streaming window's append (``repro_stream_append``): the
-  window's columns, Fenwick tree and page table live in one block the
-  :class:`repro.paging.kernel.StreamKernel` owns, a chunk costs
-  O(chunk) work, amortized, and a whole sequence is one chunk;
+  it is one per-row step (``sweep_row``) under two entries.  The
+  streaming window's append (``repro_stream_append``) keeps the
+  window's columns, Fenwick tree and page table in one block the
+  :class:`repro.paging.kernel.StreamKernel` owns, and a chunk costs
+  O(chunk) work, amortized.  ``repro_sweep_columns`` sweeps whole
+  columns of one int64 payload into one arena in one call: a
+  ``SequenceKernel``'s sequence is its one-column case, and a streamed
+  run sweeps every column its trace store holds as a single chunk
+  straight from the store's memory map;
 * the per-box service walk (a cumsum over the whole budget window even
   when the box serves a dozen requests),
 * the offline green DP relaxation (a python ``zip`` loop over every
@@ -123,6 +128,42 @@ void repro_box_run(const int64_t *prev, const int64_t *reuse, int64_t i,
                        out3 + 2) - i;
 }
 
+#define WIN_HOME(page) ((int64_t)(((uint64_t)(page) * 0x9E3779B97F4A7C15ULL) >> (64 - bits)))
+
+/* One row of the reuse-distance sweep, the step repro_stream_append and
+ * repro_sweep_columns share.  Row q of the page column holds global
+ * position origin + q; rows before off are forgotten, and the Fenwick
+ * tree (cap + 1 words) and page table (2^bits slots, *entries used) hold
+ * rows [off, q).  Writes prev[q] and reuse[q] and enters row q.  Returns
+ * 0, or 1 when a new page would fill the table past half: then row q
+ * is not entered. */
+static int sweep_row(const int64_t *page, int64_t *prev, int64_t *reuse, int64_t *tree,
+                     int64_t cap, int64_t *table, int64_t bits, int64_t *entries,
+                     int64_t off, int64_t origin, int64_t q, int64_t cold) {
+    int64_t mask = ((int64_t)1 << bits) - 1, pg = page[q], j, x, y, acc;
+    for (j = WIN_HOME(pg); table[j] && page[table[j] - 1] != pg;)
+        j = (j + 1) & mask;
+    x = table[j] - 1;
+    if (x < off) {  /* first occurrence, or its last one was compacted */
+        if (x < 0 && 2 * ++*entries > mask + 1)
+            return 1;
+        prev[q] = -1;
+        reuse[q] = cold;
+    } else {  /* distinct pages in (x, q): the gap minus its marks */
+        prev[q] = origin + x;
+        acc = q - 1 - x;
+        for (y = q; y > 0; y -= y & -y)
+            acc -= tree[y];
+        for (y = x + 1; y > 0; y -= y & -y)
+            acc += tree[y];
+        reuse[q] = acc;
+        for (y = x + 1; y <= cap; y += y & -y)
+            tree[y] += 1;
+    }
+    table[j] = q + 1;
+    return 0;
+}
+
 /* The streaming window (repro.paging.kernel.StreamKernel) in one
  * caller-owned block: 7 header words, then prev, reuse and page columns
  * of cap rows each, a Fenwick tree of cap + 1 and a page table.
@@ -139,11 +180,9 @@ void repro_box_run(const int64_t *prev, const int64_t *reuse, int64_t i,
  * compactions behind them pay for.  Returns 0, or 1 when the table would
  * pass half full: then nothing retained has changed, and the caller
  * moves the window into a block with a table twice the size. */
-#define WIN_HOME(page) ((int64_t)(((uint64_t)(page) * 0x9E3779B97F4A7C15ULL) >> (64 - bits)))
-
 int64_t repro_stream_append(int64_t *w, const int64_t *chunk, int64_t m, int64_t cold) {
     int64_t origin = w[0], off = w[1], n = w[2], cap = w[3], bits = w[4];
-    int64_t mask = ((int64_t)1 << bits) - 1, entries = w[5], r, q, x, y, j, pg, acc;
+    int64_t mask = ((int64_t)1 << bits) - 1, entries = w[5], r, q, x, y, j;
     int64_t *prev = w + 7, *reuse = prev + cap, *page = reuse + cap;
     int64_t *tree = page + cap, *table = tree + cap + 1;
     if (w[6] || off + n + m > cap) {
@@ -172,34 +211,37 @@ int64_t repro_stream_append(int64_t *w, const int64_t *chunk, int64_t m, int64_t
         w[5] = entries;
         w[6] = 0;
     }
-    for (r = 0; r < m; r++) {
-        q = off + n + r;
-        pg = chunk[r];
-        for (j = WIN_HOME(pg); table[j] && page[table[j] - 1] != pg;)
-            j = (j + 1) & mask;
-        x = table[j] - 1;
-        if (x < off) {  /* first occurrence, or its last one was compacted */
-            if (x < 0 && 2 * ++entries > mask + 1)
-                return 1;
-            prev[q] = -1;
-            reuse[q] = cold;
-        } else {  /* distinct pages in (x, q): the gap minus its marks */
-            prev[q] = origin + x;
-            acc = q - 1 - x;
-            for (y = q; y > 0; y -= y & -y)
-                acc -= tree[y];
-            for (y = x + 1; y > 0; y -= y & -y)
-                acc += tree[y];
-            reuse[q] = acc;
-            for (y = x + 1; y <= cap; y += y & -y)
-                tree[y] += 1;
-        }
-        page[q] = pg;
-        table[j] = q + 1;
+    for (r = 0, q = off + n; r < m; r++, q++) {
+        page[q] = chunk[r];
+        if (sweep_row(page, prev, reuse, tree, cap, table, bits, &entries, off, origin, q, cold))
+            return 1;
     }
     w[2] = n + m;
     w[5] = entries;
     return 0;
+}
+
+/* The reuse-distance sweep of whole columns in one call: column c is
+ * data[start[c], start[c] + rows[c]), and its prev and reuse rows go to
+ * prev and reuse back to back, column c from row rows[0] + ... +
+ * rows[c - 1] on, in the column's own coordinates (a SequenceKernel's
+ * rows).  scratch holds max(rows) + 1 + 2^b words, 2^b >= 2 max(rows):
+ * each column's tree, and its table of 2^bits >= 2 rows[c] slots, which
+ * a column of rows[c] pages never fills past half. */
+void repro_sweep_columns(const int64_t *data, const int64_t *start, const int64_t *rows,
+                         int64_t ncols, int64_t *prev, int64_t *reuse, int64_t *scratch,
+                         int64_t cold) {
+    int64_t c, n, q, bits, entries, at = 0, *table;
+    for (c = 0; c < ncols; c++, at += n) {
+        n = rows[c];
+        for (bits = 1; ((int64_t)1 << bits) < 2 * n; bits++)
+            ;
+        table = scratch + n + 1;
+        memset(scratch, 0, (n + 1 + ((int64_t)1 << bits)) * sizeof(int64_t));
+        for (entries = 0, q = 0; q < n; q++)
+            sweep_row(data + start[c], prev + at, reuse + at, scratch, n, table, bits,
+                      &entries, 0, 0, q, cold);
+    }
 }
 
 /* The whole offline green DP relaxation (repro.green.offline): ascending
@@ -734,6 +776,14 @@ class NativeOps:
     #: table must grow first: ``repro_stream_append`` over the window
     #: block at ``addr``.
     stream_append: Callable[..., int]
+    #: ``sweep_columns(data, starts, rows)`` -> ``(prev, reuse)``: the
+    #: reuse-distance sweep (``repro_sweep_columns``) of every column
+    #: ``data[starts[c] : starts[c] + rows[c]]`` of one int64 payload,
+    #: back to back in one arena.  Column ``c``'s rows start at
+    #: ``rows[:c].sum()`` and equal its ``SequenceKernel``'s columns.
+    #: Raises ``ValueError`` before the call when a column reaches
+    #: outside ``data``.
+    sweep_columns: Callable[..., tuple]
     #: ``lru_loop(shift, miss, st, heap, proc, table, node, completion)``
     #: -> ``step``: GLOBAL-LRU's event loop bound to those state arrays
     #: (layout on ``repro_lru_run``).  Each ``step()`` runs it until a
@@ -847,6 +897,7 @@ def _cc_ops() -> Optional[NativeOps]:
         ("repro_box_run", [p_i64, p_i64] + [c_i64] * 6 + [p_i64]),
         ("repro_dp_solve", [p_i64, p_i64, c_i64, c_i64, p_i64, p_i64, p_i64, c_i64, c_i64, p_i64, p_i64, p_i64]),
         ("repro_stream_append", [p_i64, p_i64, c_i64, c_i64]),
+        ("repro_sweep_columns", [p_i64] * 3 + [c_i64] + [p_i64] * 3 + [c_i64]),
         ("repro_lru_run", [c_i64, c_i64] + [p_i64] * 6),
         ("repro_detpar_run", [p_i64] * 7),
         ("repro_randpar_run", [p_i64] * 6),
@@ -880,6 +931,24 @@ def _cc_ops() -> Optional[NativeOps]:
 
     def stream_append(addr, chunk):
         return append_fn(addr, ptr(chunk), len(chunk), cold)
+
+    def sweep_columns(data, starts, rows):
+        data = np.ascontiguousarray(data, dtype=np.int64)
+        starts = np.ascontiguousarray(starts, dtype=np.int64)
+        rows = np.ascontiguousarray(rows, dtype=np.int64)
+        if data.ndim != 1 or starts.ndim != 1 or starts.shape != rows.shape:
+            raise ValueError("sweep_columns takes a 1-D payload and one start and row count per column")
+        if ((starts < 0) | (rows < 0)).any() or (rows > len(data) - starts).any():
+            raise ValueError("a column reaches outside the payload")
+        total = int(rows.sum())
+        arena = np.empty(2 * total, dtype=np.int64)
+        n = int(rows.max()) if len(rows) else 0
+        scratch = np.empty(n + 1 + (1 << max(1, (2 * n - 1).bit_length())), dtype=np.int64)
+        lib.repro_sweep_columns(
+            ptr(data), ptr(starts), ptr(rows), len(rows), ptr(arena), ptr(arena) + 8 * total,
+            ptr(scratch), cold,
+        )
+        return arena[:total], arena[total:]
 
     def dp_solve(prev, lev, budgets, costs, heights, s, inf, dist, parent_pos, parent_h):
         lib.repro_dp_solve(
@@ -915,6 +984,7 @@ def _cc_ops() -> Optional[NativeOps]:
         dp_solve=dp_solve,
         box_probe=box_probe,
         stream_append=stream_append,
+        sweep_columns=sweep_columns,
         lru_loop=lru_loop,
         detpar_loop=detpar_loop,
         randpar_loop=randpar_loop,

@@ -55,7 +55,12 @@ Two kernel flavors:
 
 * :class:`SequenceKernel` — whole sequence in memory, built once, shared
   through the LRU-bounded module cache (:func:`get_kernel`, keyed by
-  array identity or an explicit content digest);
+  array identity or an explicit content digest).  On the native tier it
+  is the one-column case of the compiled multi-column sweep
+  (``NativeOps.sweep_columns``), whose per-row step the streaming
+  window's append shares, so the compiled tier has one reuse-distance
+  sweep; a streamed run sweeps a trace store's single-chunk columns
+  through the same entry;
 * :class:`StreamKernel` — incremental: chunks are appended as a stream
   delivers them and the swept prefix is compacted away as execution
   passes it, so bounded-memory streaming keeps bounded memory.  On the
@@ -369,8 +374,9 @@ class SequenceKernel(_KernelOps):
     """Per-sequence reuse-distance precompute for the fast box engine.
 
     Construction computes ``prev_occ``/``reuse_dist`` once — compiled
-    on the native tier; on the numpy tier a vectorized merge count for
-    typical lengths and an O(n log n) Fenwick sweep beyond
+    on the native tier, as the one-column case of
+    ``NativeOps.sweep_columns``; on the numpy tier a vectorized merge
+    count for typical lengths and an O(n log n) Fenwick sweep beyond
     ``_VEC_BUILD_MAX``; every box afterwards is one :meth:`box` walk
     over them.  Instances
     are immutable in spirit — share them freely across boxes, heights,
@@ -399,13 +405,8 @@ class SequenceKernel(_KernelOps):
         ops = _active_native()
         self._ops = ops
         if n and ops is not None:
-            # the compiled sweep is the streaming window's: sweep the
-            # whole sequence as one chunk and keep its two columns
-            stream = StreamKernel()
-            stream.append(arr)
-            stream.seal()
-            self._prev = stream._column(0)
-            self._reuse = stream._column(1)
+            # the one-column case of the compiled multi-column sweep
+            self._prev, self._reuse = ops.sweep_columns(arr, (0,), (n,))
             self._bind()
             return
         # prev_occ fully vectorized: stable-sort positions by page, then
@@ -470,8 +471,10 @@ class SequenceKernel(_KernelOps):
 
         Used by the zero-copy worker handoff: the parent ships its
         kernel's arrays over shared memory and the worker rebuilds the
-        kernel in O(1) instead of re-running the precompute.  The arrays
-        are trusted to match what ``__init__`` would produce for ``seq``.
+        kernel in O(1) instead of re-running the precompute; and by a
+        streamed box server, over a column's rows in its arena.  The
+        arrays are trusted to match what ``__init__`` would produce for
+        ``seq``.
         """
         self = cls.__new__(cls)
         self.seq = seq

@@ -2,25 +2,34 @@
 
 This is the ROADMAP's million-request path.  A :class:`StreamingWorkload`
 wraps a :class:`repro.traces.TraceStore` without materializing any request
-column; each processor's requests reach the simulator chunk-by-chunk
+column; a processor's requests reach the simulator chunk-by-chunk
 through a :class:`BoxFeed`, which sweeps them into an incremental
 :class:`repro.paging.kernel.StreamKernel` just ahead of the execution
 position and compacts the served prefix behind it each time it appends.
 Resident state per processor is therefore bounded by the largest single
 box budget plus one store chunk — independent of trace length — while
-every box is still evaluated at kernel speed.  On the native tier the
-compiled DET-PAR and RAND-PAR loops probe the same windows in place
+every box is still evaluated at kernel speed.
+
+On the native tier a column the store holds as a single chunk skips the
+feed: a streamed :class:`BoxServer` sweeps all of them at construction
+in one compiled call (``NativeOps.sweep_columns``), straight from the
+store's memory map into one arena of their ``SequenceKernel`` rows.  The
+memory bound per processor is unchanged, since a single-chunk column's
+window held its whole column anyway.  The compiled DET-PAR and RAND-PAR
+loops probe the arena and the feeds' windows in place
 (:meth:`BoxServer.window_rows`) and return to python only when a box
-runs past one (:meth:`BoxServer.refill`, which calls
+runs past a multi-chunk column's window (:meth:`BoxServer.refill`,
+which makes that column's feed at its first call and then calls
 :meth:`BoxFeed.ensure`).
 
 The serving indirection is :func:`make_box_server`: every box algorithm
 (RAND-PAR, DET-PAR, black-box packing) asks the server to run a box for a
 processor and never touches sequences or kernels directly.  A streamed
-workload is served through one :class:`BoxFeed` per processor; every
-other column — in memory, memory-mapped, or a streamed workload's
-memory-mapped column under ``REPRO_KERNEL=reference`` — through the box
-walk :func:`repro.paging.kernel.box_walk` picks for the tier: the cached
+workload is served through the arena and the feeds (on the numpy tier,
+one :class:`BoxFeed` per processor); every other column — in memory,
+memory-mapped, or a streamed workload's memory-mapped column under
+``REPRO_KERNEL=reference`` — through the box walk
+:func:`repro.paging.kernel.box_walk` picks for the tier: the cached
 ``SequenceKernel``, or the per-request dict-LRU ``run_box``.
 
 Every form produces bit-identical :class:`~repro.paging.engine.BoxRun`
@@ -39,13 +48,17 @@ import numpy as np
 
 from ..obs import metrics as obs_metrics
 from ..paging.engine import BoxRun
-from ..paging.kernel import StreamKernel, box_walk
+from ..paging._native import address
+from ..paging.kernel import SequenceKernel, StreamKernel, _active_native, box_walk
 from ..traces.store import TraceStore
 from ..workloads.trace import ParallelWorkload
 from .events import sim_backend
 
 #: Rows per list :func:`request_feed` cuts from an in-memory column.
 _FEED_ROWS = 4096
+
+#: A box walk: ``walk(pos, height, budget, miss_cost) -> BoxRun``.
+Walk = Callable[[int, int, int, int], BoxRun]
 
 __all__ = [
     "BoxFeed",
@@ -102,19 +115,36 @@ class StreamingWorkload:
     def total_requests(self) -> int:
         return int(sum(self.store.lengths))
 
-    def chunks(self, proc: int) -> Iterator[np.ndarray]:
-        """The processor's request column, one store chunk at a time,
-        counted into the ``sim.traces.*`` stream-traffic counters."""
+    def chunks(self, proc: int, skip: int = 0) -> Iterator[np.ndarray]:
+        """The processor's column one store chunk at a time, from chunk ``skip`` on.
+
+        Each chunk is counted into the ``sim.traces.*`` stream-traffic
+        counters."""
         reg = obs_metrics.active()
         if not reg.enabled:
-            yield from self.store.iter_chunks(proc)
+            yield from self.store.iter_chunks(proc, skip=skip)
             return
         n_chunks = reg.counter("sim.traces.chunks", proc=proc)
         n_requests = reg.counter("sim.traces.requests_streamed", proc=proc)
-        for chunk in self.store.iter_chunks(proc):
+        for chunk in self.store.iter_chunks(proc, skip=skip):
             n_chunks.inc()
             n_requests.inc(len(chunk))
             yield chunk
+
+    def first_chunks(self, procs: np.ndarray) -> np.ndarray:
+        """The rows of each of ``procs``' first chunks, counted as streamed.
+
+        For consumers that read first chunks straight from
+        :meth:`TraceStore.payload` (0 rows for an empty column); each
+        is counted into ``sim.traces.*`` as :meth:`chunks` counts it."""
+        rows = self.store.first_rows[procs]
+        reg = obs_metrics.active()
+        if reg.enabled:
+            for proc, n in zip(procs.tolist(), rows.tolist()):
+                if n:
+                    reg.counter("sim.traces.chunks", proc=proc).inc()
+                    reg.counter("sim.traces.requests_streamed", proc=proc).inc(n)
+        return rows
 
     @property
     def sequences(self) -> List[np.ndarray]:
@@ -208,13 +238,24 @@ class BoxServer:
     """Uniform box-serving facade over every workload form and tier.
 
     ``serve(proc, pos, height, budget)`` runs one box for one processor
-    and returns the :class:`BoxRun`.  A streamed workload is served by
-    chunk-fed :class:`BoxFeed` windows; any other column, and a streamed
-    one under ``REPRO_KERNEL=reference`` (its memory-mapped column,
-    OS-paged rather than chunk-bounded), by the tier's box walk from
-    :func:`~repro.paging.kernel.box_walk`.  On the native tier every walk
-    is its column's ``SequenceKernel``, which the compiled DET-PAR and
-    RAND-PAR loops probe in place.
+    and returns the :class:`BoxRun`.  Any column that is not streamed,
+    and a streamed one under ``REPRO_KERNEL=reference`` (its
+    memory-mapped column, OS-paged rather than chunk-bounded), is served
+    by the tier's box walk from :func:`~repro.paging.kernel.box_walk`.
+    A streamed workload on the numpy tier is served by one chunk-fed
+    :class:`BoxFeed` per processor.
+
+    On the native tier, a streamed workload's columns that the store
+    holds as one chunk are swept at construction, in one compiled call
+    (``NativeOps.sweep_columns``) straight from the store's memory map
+    into one arena of their ``SequenceKernel`` rows; a column of two or
+    more chunks gets its :class:`BoxFeed` when a box first reaches it.
+    Per processor this holds what the feeds held: a single-chunk
+    column's window was its whole column from its first box on.  The
+    arena counts each of its columns into ``sim.traces.*`` as one
+    streamed chunk when it reads it.  The compiled DET-PAR and RAND-PAR
+    loops probe every column in place (:meth:`window_rows`), and hand
+    back only for the multi-chunk ones (:meth:`refill`).
     """
 
     def __init__(self, workload, miss_cost: int) -> None:
@@ -223,11 +264,20 @@ class BoxServer:
         self.p = int(workload.p)
         self.backend = sim_backend()
         self.digest: Optional[str] = getattr(workload, "content_digest", None)
-        self._feeds: Optional[List[BoxFeed]] = None
-        self._walks: List[Callable[[int, int, int, int], BoxRun]] = []
+        self._feeds: Optional[List[Optional[BoxFeed]]] = None
+        self._win: Optional[np.ndarray] = None
+        self._prev = self._reuse = np.empty(0, dtype=np.int64)  # the arena
         if self.streaming and self.backend == "event":
             self.lengths: Tuple[int, ...] = tuple(workload.lengths)
-            self._feeds = [BoxFeed(workload.chunks(i), self.lengths[i]) for i in range(self.p)]
+            self._workload = workload
+            ops = _active_native()
+            if ops is None:
+                self._feeds = [BoxFeed(workload.chunks(i), n) for i, n in enumerate(self.lengths)]
+                self._walks: List[Optional[Walk]] = [feed.serve for feed in self._feeds]
+            else:
+                self._feeds = [None] * self.p
+                self._walks = [None] * self.p
+                self._sweep_single_chunk_columns(ops, workload)
             return
         seqs = workload.sequences
         self.lengths = tuple(len(sq) for sq in seqs)
@@ -235,15 +285,51 @@ class BoxServer:
             box_walk(sq, key=(self.digest, i) if self.digest else None) for i, sq in enumerate(seqs)
         ]
 
+    def _sweep_single_chunk_columns(self, ops, workload: "StreamingWorkload") -> None:
+        """Sweep every single-chunk column into the arena and write its
+        window row; the other rows stay empty until :meth:`refill`."""
+        store = workload.store
+        single = np.flatnonzero(store.first_rows == store.rows)
+        rows = workload.first_chunks(single)
+        self._prev, self._reuse = ops.sweep_columns(store.payload(), store.starts[single], rows)
+        at = np.cumsum(rows) - rows
+        self._at = np.full(self.p, -1, dtype=np.int64)  # each column's first arena row
+        self._at[single] = at
+        self._win = np.zeros((self.p, 4), dtype=np.int64)
+        self._win[single] = np.column_stack(
+            (address(self._prev) + 8 * at, address(self._reuse) + 8 * at, np.zeros_like(at), rows)
+        )
+
+    def _walk(self, proc: int) -> Walk:
+        """The native streamed tier's walk over ``proc``'s column, made
+        when a python box loop first reaches it: its arena rows as a
+        ``SequenceKernel``, or its :class:`BoxFeed`."""
+        at = int(self._at[proc])
+        if at < 0:
+            walk: Walk = self._feed(proc).serve
+        else:
+            rows = slice(at, at + self.lengths[proc])
+            column = self._workload.store.column(proc)
+            walk = SequenceKernel.from_precomputed(column, self._prev[rows], self._reuse[rows])
+        self._walks[proc] = walk
+        return walk
+
+    def _feed(self, proc: int) -> BoxFeed:
+        feed = self._feeds[proc]
+        if feed is None:
+            feed = self._feeds[proc] = BoxFeed(self._workload.chunks(proc), self.lengths[proc])
+        return feed
+
     def n(self, proc: int) -> int:
         """Total requests in ``proc``'s sequence (known from the header)."""
         return self.lengths[proc]
 
     def serve(self, proc: int, pos: int, height: int, budget: int) -> BoxRun:
         """Run one box for ``proc`` starting at request position ``pos``."""
-        if self._feeds is not None:
-            return self._feeds[proc].serve(pos, height, budget, self.miss_cost)
-        return self._walks[proc](pos, height, budget, self.miss_cost)
+        walk = self._walks[proc]
+        if walk is None:
+            walk = self._walk(proc)
+        return walk(pos, height, budget, self.miss_cost)
 
     def window_rows(self) -> np.ndarray:
         """The compiled box loops' window rows, one ``(prev address, reuse
@@ -251,28 +337,30 @@ class BoxServer:
         ``repro_detpar_run`` and ``repro_randpar_run``).
 
         Native tier only, where every walk is a ``SequenceKernel`` and
-        every feed's kernel a compiled window.  The rows stay valid while
-        this server lives, except a streamed processor's after its feed
-        appends; :meth:`refill` rewrites that row.
+        every streamed column is in the arena or waits for its feed (an
+        empty row).  The rows stay valid while this server lives, except
+        a multi-chunk column's after its feed appends; :meth:`refill`
+        rewrites that row.
         """
-        kernels = [f.kernel for f in self._feeds] if self._feeds is not None else self._walks
-        return np.array([k.window() for k in kernels], dtype=np.int64).reshape(self.p, 4)
+        if self._win is not None:
+            return self._win.copy()
+        return np.array([k.window() for k in self._walks], dtype=np.int64).reshape(self.p, 4)
 
     def refill(self, win: np.ndarray, proc: int, pos: int, upto: int) -> None:
         """Hand-back of a compiled box loop: ``proc``'s window ends before
         row ``upto``, and its next box starts at ``pos``.  Its feed pulls
         chunks until it covers ``upto`` (raising, like :meth:`serve`, when
         the stream ends first), and ``win``'s row is rewritten."""
-        feed = self._feeds[proc]
+        feed = self._feed(proc)
         feed.position = pos
         feed.ensure(upto)
         win[proc] = feed.kernel.window()
 
     def resident_rows(self) -> int:
-        """Total rows retained across stream feeds (0 when not streaming)."""
+        """Rows retained in the arena and the stream feeds (0 when not streaming)."""
         if self._feeds is None:
             return 0
-        return sum(f.resident_rows for f in self._feeds)
+        return len(self._prev) + sum(f.resident_rows for f in self._feeds if f is not None)
 
 
 def make_box_server(workload, miss_cost: int) -> BoxServer:

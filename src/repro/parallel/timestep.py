@@ -18,8 +18,11 @@ kernels:
   Every processor has exactly one pending completion while active, so
   same-time completions are served in ascending processor order, and a
   processor that still holds the earliest completion keeps serving
-  without touching the heap.  Columns go in whole, or one store chunk
-  at a time for a :class:`~repro.parallel.streaming.StreamingWorkload`.
+  without touching the heap.  Every processor's first chunk is
+  installed before the loop starts: its whole column, or for a
+  :class:`~repro.parallel.streaming.StreamingWorkload` its first store
+  chunk, read straight from the store's memory map; the loop hands
+  back only for a streamed column's later chunks, one at a time.
 * python event (``REPRO_KERNEL=fast``, a host where the compiled
   library cannot be built, or keys too wide for int64) — the same loop
   over :class:`LRUCache`.
@@ -40,11 +43,12 @@ from __future__ import annotations
 
 from heapq import heappop, heapreplace
 from itertools import chain
-from typing import Iterator, List
+from typing import Dict, Iterator, List
 
 import numpy as np
 
 from ..obs import metrics as obs_metrics
+from ..paging._native import address
 from ..paging.kernel import _active_native
 from ..paging.lru import LRUCache
 from ..workloads.trace import ParallelWorkload
@@ -117,9 +121,11 @@ class GlobalLRU:
 
     def _run_native(self, ops, workload, n: List[int], completion: np.ndarray):
         """Compiled backend: :meth:`_run_event`'s loop as ``repro_lru_run``
-        (:mod:`repro.paging._native`), fed whole in-memory or memmap
-        columns, or one store chunk at a time; returns (hits, faults,
-        evictions)."""
+        (:mod:`repro.paging._native`), with every processor's first chunk
+        installed before it starts: a whole in-memory or memmap column, or
+        a store's first chunk, read straight from its memory map.  The loop
+        hands back only for a streamed column's later chunks, one at a
+        time; returns (hits, faults, evictions)."""
         p = len(n)
         active = [i for i in range(p) if n[i]]
         if not active:
@@ -131,24 +137,34 @@ class GlobalLRU:
         heap[: len(active) - 1] = active[1:]  # time 0, sorted: a heap
         proc = np.zeros((p, 4), dtype=np.int64)
         proc[:, 0] = n
+        streamed = isinstance(workload, StreamingWorkload)
+        if streamed:
+            store = workload.store
+            # the loop reads native-endian int64: a copy only on a big-endian host
+            held = [np.ascontiguousarray(store.payload(), dtype=np.int64)]
+            proc[:, 1] = address(held[0]) + 8 * store.starts
+            proc[:, 2] = workload.first_chunks(np.arange(p))
+        else:
+            # each column is one 1-D, C-contiguous, native-endian int64 chunk; copied only if not one
+            held = [np.ascontiguousarray(seq, dtype=np.int64) for seq in workload.sequences]
+            for i in active:
+                if held[i].ndim != 1:
+                    raise ValueError(f"processor {i}'s requests are not a 1-D column")
+            proc[:, 1] = [address(col) for col in held]
+            proc[:, 2] = [len(col) for col in held]
         table = np.zeros(2 << bits, dtype=np.int64)
         node = np.zeros(3 * cap, dtype=np.int64)
         step = ops.lru_loop(p.bit_length(), self.miss_cost, st, heap, proc, table, node, completion)
-        if isinstance(workload, StreamingWorkload):
-            feeds = [workload.chunks(i) for i in range(p)]
-        else:
-            seqs = workload.sequences
-            feeds = [iter((seqs[i],)) for i in range(p)]
-        held = [None] * p  # each processor's chunk, alive until the loop moves past it
+        feeds: Dict[int, Iterator[np.ndarray]] = {}  # each column's chunks after its first
+        current: Dict[int, np.ndarray] = {}  # alive until the loop moves past it
         while (i := step()) >= 0:
+            if i not in feeds:
+                feeds[i] = workload.chunks(i, skip=1) if streamed else iter(())
             chunk = next(feeds[i], None)
             if chunk is None:
                 raise _short_feed(i)
-            # the loop reads a 1-D, C-contiguous, native-endian int64 column; copied only if not one
-            held[i] = chunk = np.ascontiguousarray(chunk, dtype=np.int64)
-            if chunk.ndim != 1:
-                raise ValueError(f"processor {i}'s requests are not a 1-D column")
-            proc[i, 1:] = chunk.ctypes.data, len(chunk), 0
+            current[i] = chunk = np.ascontiguousarray(chunk, dtype=np.int64)
+            proc[i, 1:] = address(chunk), len(chunk), 0
         return int(st[5]), int(st[6]), int(st[7])
 
     def _run_event(

@@ -449,12 +449,28 @@ def _json_safe_meta(meta: Mapping[str, Any]) -> Dict[str, Any]:
     return out
 
 
+def _column_fault(proc: int, rows: int, offset: int, chunks: List[int], before: int) -> str:
+    """What is wrong with column ``proc``, whose rows should start at
+    payload row ``before``."""
+    if rows < 0 or min(chunks, default=1) < 1:
+        return f"column {proc} has {rows} rows in chunks of {chunks} rows"
+    if sum(chunks) != rows:
+        return f"column {proc} chunk rows sum to {sum(chunks)}, header says {rows}"
+    return (
+        f"column {proc} starts at byte {offset}, not at {before * _ROW_BYTES} "
+        "where the columns before it end"
+    )
+
+
 class TraceStore:
     """Read side of a ``.trc`` trace store (header-validated, mmap-backed).
 
-    Opening parses and validates the header and checks the payload size;
-    per-chunk digests are verified on demand (:meth:`verify`, or
-    ``iter_chunks(verify=True)``) so opening a terabyte store stays O(1).
+    Opening parses and validates the header, checks the payload size and
+    that the columns tile the payload exactly, in order, and keeps that
+    layout as int64 arrays (``starts``, ``rows``, ``first_rows``): this
+    class is the one place that reads it.  Per-chunk digests are verified
+    on demand (:meth:`verify`, or ``iter_chunks(verify=True)``), so
+    opening a store costs the same whatever the size of its payload.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -502,17 +518,42 @@ class TraceStore:
                 f"{self.path}: store is {actual} bytes but header expects {expected} "
                 "(truncated or partially written)"
             )
-        total = 0
-        for proc, col in enumerate(self.columns):
-            chunk_total = sum(int(c["rows"]) for c in col["chunks"])
-            if chunk_total != int(col["rows"]):
-                raise TraceCorruptError(
-                    f"{self.path}: column {proc} chunk rows sum to {chunk_total}, "
-                    f"header says {col['rows']}"
-                )
-            total += int(col["rows"])
-        self._total_rows = total
+        self.starts, self.rows, self.first_rows = self._layout()
+        self._total_rows = int(self.rows.sum())
         self._mm: Optional[np.ndarray] = None
+
+    def _layout(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Check that the columns tile the payload, in order and exactly;
+        returns each column's first row in the payload, its rows, and its
+        first chunk's rows (0 for an empty column), as int64 arrays.
+
+        Raises :class:`TraceCorruptError` when they do not: the columns
+        are read through raw addresses taken from these arrays.
+        """
+        where = f"{self.path}:"
+        try:
+            p, data_bytes = int(self.header["p"]), int(self.header["data_bytes"])
+            columns = self.header["columns"]
+            if len(columns) != p:
+                raise TraceCorruptError(f"{where} header says p={p} but lists {len(columns)} columns")
+            layout: List[int] = []  # start, rows, first chunk rows, per column
+            total = 0
+            for proc, col in enumerate(columns):
+                rows, offset = int(col["rows"]), int(col["offset"])
+                chunks = [int(c["rows"]) for c in col["chunks"]]
+                if rows < 0 or (chunks and min(chunks) < 1) or sum(chunks) != rows or offset != total * _ROW_BYTES:
+                    raise TraceCorruptError(f"{where} {_column_fault(proc, rows, offset, chunks, total)}")
+                layout += (total, rows, chunks[0] if chunks else 0)
+                total += rows
+        except (TypeError, ValueError, KeyError) as exc:
+            raise TraceCorruptError(f"{where} malformed column layout ({exc!r})") from exc
+        if total * _ROW_BYTES != data_bytes:
+            raise TraceCorruptError(
+                f"{where} columns hold {total * _ROW_BYTES} bytes, header says {data_bytes}"
+            )
+        arrays = np.array(layout, dtype=np.int64).reshape(p, 3).T.copy()
+        arrays.setflags(write=False)
+        return arrays[0], arrays[1], arrays[2]
 
     # ------------------------------------------------------------------ #
     # header accessors
@@ -547,7 +588,7 @@ class TraceStore:
 
     @property
     def lengths(self) -> tuple:
-        return tuple(int(c["rows"]) for c in self.columns)
+        return tuple(self.rows.tolist())
 
     @property
     def total_requests(self) -> int:
@@ -560,7 +601,11 @@ class TraceStore:
     # ------------------------------------------------------------------ #
     # data access
     # ------------------------------------------------------------------ #
-    def _mmap(self) -> np.ndarray:
+    def payload(self) -> np.ndarray:
+        """The whole payload as one read-only int64 array over the memory map.
+
+        Column ``i`` is ``payload()[starts[i] : starts[i] + rows[i]]``,
+        and its first chunk the first ``first_rows[i]`` of those rows."""
         if self._mm is None:
             if self.nbytes == 0:
                 self._mm = np.asarray([], dtype=np.int64)
@@ -578,12 +623,11 @@ class TraceStore:
 
     def column(self, proc: int) -> np.ndarray:
         """Zero-copy read-only view of processor ``proc``'s full column."""
-        col = self.columns[proc]
-        start = int(col["offset"]) // _ROW_BYTES
-        return self._mmap()[start : start + int(col["rows"])]
+        start = int(self.starts[proc])
+        return self.payload()[start : start + int(self.rows[proc])]
 
-    def iter_chunks(self, proc: int, verify: bool = False) -> Iterator[np.ndarray]:
-        """Stream processor ``proc``'s column chunk by chunk (zero-copy views).
+    def iter_chunks(self, proc: int, verify: bool = False, skip: int = 0) -> Iterator[np.ndarray]:
+        """Stream processor ``proc``'s column by chunks (zero-copy views) from chunk ``skip`` on.
 
         With ``verify=True`` every chunk is checked against its recorded
         digest and a mismatch raises :class:`TraceCorruptError` *before*
@@ -596,6 +640,9 @@ class TraceStore:
         for i, chunk_info in enumerate(col["chunks"]):
             rows = int(chunk_info["rows"])
             chunk = view[row : row + rows]
+            row += rows
+            if i < skip:
+                continue
             if verify:
                 hasher = _chunk_hasher(algo)
                 hasher.update(np.ascontiguousarray(chunk).tobytes())
@@ -605,7 +652,6 @@ class TraceStore:
                         "digest (store is corrupt)"
                     )
             yield chunk
-            row += rows
 
     def verify(self) -> bool:
         """Check every chunk digest and the whole-trace content digest.

@@ -4,11 +4,21 @@ DET-PAR and RAND-PAR each run three ways: compiled on the native kernel
 tier (``repro_detpar_run``, ``repro_randpar_run``), as their python loop
 under ``REPRO_KERNEL=fast`` (the no-compiler path), and as that loop
 serving every box by the per-request dict-LRU walk under
-``REPRO_KERNEL=reference``.  A *runner* is a callable ``run(workload)``
+``REPRO_KERNEL=reference``.  GLOBAL-LRU (``repro_lru_run``, its python
+event loop, the rescan) and BlackBoxPar (the box server on each tier)
+run the same three ways.  A *runner* is a callable ``run(workload)``
 that builds a fresh algorithm and runs it, so the harness holds any of
 them to one standard: equal completion times, box trace and ``meta``,
 byte for byte, in memory and streamed at any chunk size, and the same
 error where the python loop fails.
+
+A streamed run also reads the same ``sim.traces.*`` stream traffic on
+every loop that streams, and its box trace replays exactly under
+:func:`repro.parallel.verify.verify_trace` on the reference tier, which
+shares no code with the compiled sweep or the arena.  At the default
+chunk sizes a store holds a column as one chunk or as many, so both
+the arena of single-chunk columns and the chunk-fed windows are held
+to the in-memory run.
 """
 
 from __future__ import annotations
@@ -20,9 +30,12 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from repro.core import DetPar, RandPar
+from repro.core import BlackBoxPar, DetPar, RandPar
+from repro.obs import metrics as obs_metrics
 from repro.paging.kernel import KERNEL_ENV, clear_kernel_cache, native_flavor
-from repro.parallel import open_streaming
+from repro.parallel import StreamingWorkload, open_streaming
+from repro.parallel.timestep import GlobalLRU
+from repro.parallel.verify import verify_trace
 from repro.traces.store import write_store
 
 HAVE_NATIVE = native_flavor() is not None
@@ -45,6 +58,16 @@ def rand_par(k, s, seed=0, kind="inverse_square", max_chunks=None):
     return lambda wl: RandPar(k, s, np.random.default_rng(seed), kind).run(wl, max_chunks=max_chunks)
 
 
+def global_lru(k, s):
+    """Runner of GLOBAL-LRU at shared cache ``k`` and miss cost ``s``."""
+    return lambda wl: GlobalLRU(k, s).run(wl)
+
+
+def black_box(k, s):
+    """Runner of the black-box packing at cache ``k`` and miss cost ``s``."""
+    return lambda wl: BlackBoxPar(k, s).run(wl)
+
+
 @contextmanager
 def loop(name):
     """Pin the environment that selects one loop."""
@@ -64,13 +87,25 @@ def loop(name):
 def observe(name, run, wl):
     """Everything observable about ``run(wl)`` on one loop, or the
     ``ValueError`` (or subclass) it raised, as its type name and text."""
-    with loop(name):
+    return _observe(name, run, wl)[0]
+
+
+def _observe(name, run, wl):
+    """:func:`observe`, and the wall-stripped ``sim.traces.*`` counters of
+    the run.  A streamed box schedule that finished is replayed first."""
+    with loop(name), obs_metrics.collecting() as reg:
         try:
             res = run(wl)
         except ValueError as exc:
-            return (type(exc).__name__, str(exc))
+            return (type(exc).__name__, str(exc)), None
     res.validate()
-    return res.completion_times.tolist(), list(res.trace), res.meta
+    if res.trace and res.meta.get("finished", True) and isinstance(wl, StreamingWorkload):
+        with loop("reference"):
+            check = verify_trace(res, wl)
+        assert check.ok, check.errors[:5]
+    counters = obs_metrics.strip_wall(reg.snapshot())["counters"]
+    traffic = {k: v for k, v in counters.items() if k.startswith("sim.traces.")}
+    return (res.completion_times.tolist(), list(res.trace), res.meta), traffic
 
 
 def streamed(wl, tmp_path, chunk_rows):
@@ -87,13 +122,18 @@ def assert_same(got, want, where=""):
 
 def assert_all_loops_agree(run, wl, tmp_path, chunks=CHUNK_ROWS):
     """Every loop in memory, and the streaming ones at each chunk size,
-    against the python loop in memory; returns what they observed."""
+    against the python loop in memory, with the same stream traffic on
+    every streaming loop; returns what they observed."""
     want = observe("python", run, wl)
     assert_same(observe("reference", run, wl), want, "reference")
     if HAVE_NATIVE:
         assert_same(observe("compiled", run, wl), want, "compiled")
     for chunk_rows in chunks:
         sw = streamed(wl, tmp_path, chunk_rows)
+        traffic = []
         for name in STREAMED:
-            assert_same(observe(name, run, sw), want, f"{name} streamed at chunk_rows={chunk_rows}")
+            got, counters = _observe(name, run, sw)
+            assert_same(got, want, f"{name} streamed at chunk_rows={chunk_rows}")
+            traffic.append(counters)
+        assert all(t == traffic[0] for t in traffic), f"stream traffic at chunk_rows={chunk_rows}"
     return want

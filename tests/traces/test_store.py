@@ -38,6 +38,22 @@ def workload(p=3, n=2000, name="store-test"):
     return ParallelWorkload(sequences=seqs, name=name, meta={"kind": "synthetic"})
 
 
+def rewrite_header(path, edit):
+    """A copy of the store at ``path`` whose JSON header ``edit`` changed
+    in place; the payload bytes stay as they are."""
+    full = path.read_bytes()
+    (header_len,) = struct.unpack("<Q", full[8:16])
+    header = json.loads(full[16 : 16 + header_len])
+    edit(header)
+    hb = json.dumps(header, sort_keys=True).encode()
+    new = MAGIC + struct.pack("<Q", len(hb)) + hb
+    new += b"\x00" * ((-len(new)) % 64)
+    old_start = (16 + header_len) + ((-(16 + header_len)) % 64)
+    dest = path.with_name(f"edited-{path.name}")
+    dest.write_bytes(new + full[old_start:])
+    return dest
+
+
 class TestRoundTrip:
     def test_columns_survive_byte_exact(self, tmp_path):
         wl = workload()
@@ -70,6 +86,21 @@ class TestRoundTrip:
         assert store.total_requests == 0
         assert store.verify()
         assert store.content_digest == workload_fingerprint(wl)
+
+    def test_column_layout_arrays(self, tmp_path):
+        wl = ParallelWorkload(
+            sequences=[np.arange(5), np.asarray([], dtype=np.int64), np.arange(12) + 100], name="layout"
+        )
+        store = write_store(tmp_path / "l.trc", wl, chunk_rows=5)
+        assert store.starts.tolist() == [0, 5, 5]
+        assert store.rows.tolist() == [5, 0, 12]
+        assert store.first_rows.tolist() == [5, 0, 5]
+        assert all(a.dtype == np.int64 and not a.flags.writeable for a in (store.starts, store.rows, store.first_rows))
+        for i, seq in enumerate(wl.sequences):
+            column = store.payload()[store.starts[i] : store.starts[i] + store.rows[i]]
+            assert np.array_equal(column, seq)
+        assert [c.tolist() for c in store.iter_chunks(2, skip=1)] == [list(range(105, 110)), [110, 111]]
+        assert list(store.iter_chunks(0, skip=1)) == []
 
     def test_empty_sequence_among_nonempty(self, tmp_path):
         wl = ParallelWorkload(
@@ -213,19 +244,58 @@ class TestCorruption:
             TraceStore(tmp_path / "g.trc")
 
     def test_future_version_is_version_error(self, tmp_path):
-        path = self._store_path(tmp_path)
-        full = path.read_bytes()
-        (header_len,) = struct.unpack("<Q", full[8:16])
-        header = json.loads(full[16 : 16 + header_len])
-        header["version"] = 99
-        hb = json.dumps(header, sort_keys=True).encode()
-        new = MAGIC + struct.pack("<Q", len(hb)) + hb
-        new += b"\x00" * ((-len(new)) % 64)
-        old_start = (16 + header_len) + ((-(16 + header_len)) % 64)
-        new += full[old_start:]
-        (tmp_path / "v.trc").write_bytes(new)
+        path = rewrite_header(self._store_path(tmp_path), lambda h: h.update(version=99))
         with pytest.raises(TraceVersionError, match="version 99"):
-            TraceStore(tmp_path / "v.trc")
+            TraceStore(path)
+
+    def test_column_offset_off_its_place_is_corrupt_error(self, tmp_path):
+        # column 1 at byte 8 would read column 0's rows from its second on
+        def edit(header):
+            header["columns"][1]["offset"] = 8
+
+        path = rewrite_header(self._store_path(tmp_path), edit)
+        with pytest.raises(TraceCorruptError, match="column 1 starts at byte 8, not at 16000"):
+            TraceStore(path)
+
+    def test_negative_rows_are_corrupt_error(self, tmp_path):
+        # rows and chunk rows that agree at -2 once read 14 rows of other columns
+        def edit(header):
+            header["columns"][1]["rows"] = -2
+            header["columns"][1]["chunks"] = [{"rows": -2, "digest": ""}]
+
+        path = rewrite_header(self._store_path(tmp_path), edit)
+        with pytest.raises(TraceCorruptError, match="column 1 has -2 rows"):
+            TraceStore(path)
+
+    def test_p_that_disagrees_with_the_columns_is_corrupt_error(self, tmp_path):
+        path = write_store(tmp_path / "a.trc", workload(p=2, n=40)).path
+        path = rewrite_header(path, lambda h: h.update(p=3))
+        with pytest.raises(TraceCorruptError, match="p=3 but lists 2 columns"):
+            TraceStore(path)
+
+    def test_empty_chunk_is_corrupt_error(self, tmp_path):
+        def edit(header):
+            header["columns"][0]["chunks"].append({"rows": 0, "digest": ""})
+
+        path = rewrite_header(self._store_path(tmp_path), edit)
+        with pytest.raises(TraceCorruptError, match="column 0 has 2000 rows in chunks of"):
+            TraceStore(path)
+
+    def test_columns_that_do_not_fill_the_payload_are_corrupt_error(self, tmp_path):
+        # the last column one row short: the payload keeps a stray row
+        def edit(header):
+            col = header["columns"][-1]
+            col["rows"] -= 1
+            col["chunks"][-1]["rows"] -= 1
+
+        path = rewrite_header(self._store_path(tmp_path), edit)
+        with pytest.raises(TraceCorruptError, match="columns hold 47992 bytes, header says 48000"):
+            TraceStore(path)
+
+    def test_malformed_column_is_corrupt_error(self, tmp_path):
+        path = rewrite_header(self._store_path(tmp_path), lambda h: h["columns"][2].pop("offset"))
+        with pytest.raises(TraceCorruptError, match="malformed column layout"):
+            TraceStore(path)
 
     def test_missing_file_is_format_error(self, tmp_path):
         with pytest.raises(TraceFormatError, match="cannot read"):

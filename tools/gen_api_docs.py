@@ -217,10 +217,10 @@ the compiled `native` tier below is the default:
 
 ## Native kernel
 
-The `native` kernel tier compiles six inner loops — the
+The `native` kernel tier compiles seven inner loops — the
 reuse-distance sweep, the per-box service walk, the offline DP
 relaxation, GLOBAL-LRU's shared-cache event loop, DET-PAR's event
-loop and Belady's MIN — to machine code, keeping the numpy fast path
+loop, RAND-PAR's chunk schedule and Belady's MIN — to machine code, keeping the numpy fast path
 (for the event loops and MIN, the python loops) and the dict-LRU
 reference as bit-identical oracles below it:
 
@@ -244,13 +244,14 @@ reference as bit-identical oracles below it:
   with a `RuntimeWarning`, and nothing in the rejected directory is
   loaded.  Builds compile in a private scratch directory and land with
   an atomic rename, so concurrent builds never see a torn file.
-- **One sweep, in place.** The compiled sweep is the streaming
-  window's append: a `StreamKernel` keeps its prev, reuse and page
-  columns, a Fenwick tree and a page table in one block it owns and
-  grows in place, appends a chunk in O(chunk) work (amortized), and
-  compacts in O(1).  A `SequenceKernel` is one such append of the whole
-  sequence.  Box probes read the columns in place, with no per-call
-  marshalling.
+- **One sweep, in place.** The compiled sweep is one per-row step
+  under two entries.  The streaming window's append: a `StreamKernel`
+  keeps its prev, reuse and page columns, a Fenwick tree and a page
+  table in one block it owns and grows in place, appends a chunk in
+  O(chunk) work (amortized), and compacts in O(1).  And
+  `repro_sweep_columns`, which sweeps whole columns of one payload into
+  one arena in one call: a `SequenceKernel` is its one-column case.  Box
+  probes read the columns in place, with no per-call marshalling.
 - **Resumable event loops.** GLOBAL-LRU and DET-PAR run as C loops over
   state arrays their python callers own, taking the compiled path when
   the tier is native.  DET-PAR's loop covers
@@ -345,10 +346,17 @@ byte-identical oracle:
   served prefix behind it: resident rows per processor are bounded by
   the largest box budget plus one store chunk, independent of trace
   length (`benchmarks/bench_stream.py` proves it with `tracemalloc` on
-  a million-request, 1024-processor run).  GLOBAL-LRU's compiled loop
-  takes one store chunk at a time and returns to fetch the next, and
-  DET-PAR's returns when a box runs past a processor's window; their
-  python loops stream through `request_feed` and the box server.
+  a million-request, 1024-processor run).  On the native tier the
+  columns the store holds as one chunk skip the feed: the server sweeps
+  them all in one compiled call, straight from the store's memory map,
+  into one arena of their `SequenceKernel` rows, which holds what their
+  windows held.  GLOBAL-LRU's compiled loop starts with every
+  processor's first chunk installed and returns only to fetch a later
+  one, and DET-PAR's and RAND-PAR's return only when a box runs past a
+  multi-chunk column's window; their python loops stream through
+  `request_feed` and the box server.  `TraceStore` checks at open that
+  its columns tile the payload exactly, and hands out their row
+  offsets, rows and first-chunk rows as int64 arrays.
   `write_store` hands in-memory columns to the writer whole, so it
   opens no file per processor.
   `repro run --trace <ref> --stream` selects the path from the CLI;
