@@ -44,21 +44,22 @@ owns.  Boxes are probed in place on each processor's columns: the cached
 for a streamed one its rows in the box server's arena when the store
 holds it as one chunk, else its :class:`~repro.parallel.streaming.BoxFeed`
 window.  Python runs only where the loop hands back: to pull chunks when
-a box runs past a multi-chunk column's window, to plan each phase, and to turn full record buffers
-into :class:`~repro.parallel.events.BoxRecord` lists.  The python event
-loop in :meth:`DetPar.run` is the no-compiler path and the differential
-oracle; both produce the same completions, trace and ``meta``.
+a box runs past a multi-chunk column's window, to plan each phase, and to
+keep each full record buffer as one block of the run's
+:class:`~repro.parallel.events.BoxTrace`.  The python event loop in
+:meth:`DetPar.run` is the no-compiler path and the differential oracle;
+both produce the same completions, trace and ``meta``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..paging.kernel import _active_native
-from ..parallel.events import RECORD_ROWS, BoxRecord, EventScheduler, ParallelRunResult, drain_records
+from ..parallel.events import RECORD_ROWS, BoxRecord, BoxTrace, EventScheduler, ParallelRunResult
 from ..parallel.streaming import make_box_server
 from ..workloads.trace import ParallelWorkload
 from .box import validate_lattice
@@ -337,7 +338,7 @@ class DetPar:
     def _result(
         self,
         completion: np.ndarray,
-        trace: List[BoxRecord],
+        trace: Sequence[BoxRecord],
         phases: List[_PhaseInfo],
         rebuild_times: List[int],
     ) -> ParallelRunResult:
@@ -365,16 +366,17 @@ class DetPar:
         arena of single-chunk columns cover their whole column from the
         start), a phase ends (the next one
         is planned here, raising the same ``ValueError`` when it does not
-        fit), or the record buffer is full.
+        fit), or the record buffer is full.  Each full buffer is kept as
+        one block of the trace.
         """
         p, n = server.p, server.lengths
         completion = np.zeros(p, dtype=np.int64)
-        trace: List[BoxRecord] = []
+        blocks: List[np.ndarray] = []
         phases: List[_PhaseInfo] = []
         rebuild_times: List[int] = []
         remaining = sum(1 for x in n if x)
         if not remaining:
-            return self._result(completion, trace, phases, rebuild_times)
+            return self._result(completion, BoxTrace(), phases, rebuild_times)
         st = np.zeros(_ST_LEN, dtype=np.int64)
         st[_REMAINING], st[_RECCAP], st[_P], st[_S] = remaining, RECORD_ROWS, p, self.miss_cost
         proc = np.zeros((p, _PROC_FIELDS), dtype=np.int64)
@@ -387,7 +389,7 @@ class DetPar:
         heap = np.zeros((0, 4), dtype=np.int64)
 
         def drain() -> None:
-            drain_records(trace, rec[: st[_NREC]], _TAGS)
+            blocks.append(rec[: st[_NREC]].copy())
             st[_NREC] = 0
 
         def plan(t: int) -> None:
@@ -444,4 +446,4 @@ class DetPar:
             else:  # pragma: no cover - defensive
                 raise RuntimeError(f"DET-PAR compiled loop stopped with status {i} (bug)")
         drain()
-        return self._result(completion, trace, phases, rebuild_times)
+        return self._result(completion, BoxTrace.from_blocks(blocks, _TAGS), phases, rebuild_times)

@@ -36,8 +36,9 @@ the store holds it as one chunk, else its
 :class:`~repro.parallel.streaming.BoxFeed` window.  Python runs only
 where the loop hands back: to plan each chunk (the active processors,
 ``r``, the one height draw) and keep the chunk and phase bookkeeping,
-to pull chunks when a box runs past a multi-chunk column's window, and to turn full record buffers into
-:class:`~repro.parallel.events.BoxRecord` lists.  The python loop in
+to pull chunks when a box runs past a multi-chunk column's window, and to
+keep each full record buffer as one block of the run's
+:class:`~repro.parallel.events.BoxTrace`.  The python loop in
 :meth:`RandPar.run` is the no-compiler path and the differential
 oracle; both produce the same completions, trace and ``meta``.  Each
 chunk draws its height once, before its boxes run, and nothing else
@@ -48,12 +49,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..paging.kernel import _active_native
-from ..parallel.events import RECORD_ROWS, BoxRecord, ParallelRunResult, drain_records
+from ..parallel.events import RECORD_ROWS, BoxRecord, BoxTrace, ParallelRunResult
 from ..parallel.streaming import make_box_server
 from ..workloads.trace import ParallelWorkload
 from .box import HeightLattice, ceil_pow2, validate_lattice
@@ -279,7 +280,7 @@ class RandPar:
     def _result(
         self,
         completion: np.ndarray,
-        trace: List[BoxRecord],
+        trace: Sequence[BoxRecord],
         chunks: List[_ChunkStats],
         phase_bounds: List[int],
         finished: bool,
@@ -310,11 +311,12 @@ class RandPar:
         box it is about to run (its :class:`BoxFeed` pulls chunks until
         it covers the box; in-memory kernels and the arena of
         single-chunk columns cover their whole column),
-        when the record buffer is full, and at the chunk's end.
+        when the record buffer is full (kept as one block of the trace),
+        and at the chunk's end.
         """
         K, s, p, n = self.cache_size, self.miss_cost, server.p, server.lengths
         completion = np.zeros(p, dtype=np.int64)
-        trace: List[BoxRecord] = []
+        blocks: List[np.ndarray] = []
         chunks: List[_ChunkStats] = []
         phase_bounds: List[int] = []
         st = np.zeros(_ST_LEN, dtype=np.int64)
@@ -342,7 +344,7 @@ class RandPar:
                 if i >= 0:
                     server.refill(win, i, int(proc[i, 0]), int(st[_UPTO]))
                 elif i == -3:
-                    drain_records(trace, rec[: st[_NREC]], _TAGS)
+                    blocks.append(rec.copy())
                     st[_NREC] = 0
                 else:  # pragma: no cover - defensive
                     raise RuntimeError(f"RAND-PAR compiled loop stopped with status {i} (bug)")
@@ -363,5 +365,6 @@ class RandPar:
                 phase_bounds.append(int(st[_T]))
                 st[_PHASE] += 1
                 phase_start_active = now_active
-        drain_records(trace, rec[: st[_NREC]], _TAGS)
+        blocks.append(rec[: st[_NREC]].copy())
+        trace = BoxTrace.from_blocks(blocks, _TAGS)
         return self._result(completion, trace, chunks, phase_bounds, not st[_REMAINING])

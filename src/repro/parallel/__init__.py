@@ -25,6 +25,7 @@ from .exact import exact_two_proc_makespan
 from .fairness import FairnessReport, fairness_report, jain_index
 from .events import (
     BoxRecord,
+    BoxTrace,
     EventScheduler,
     ParallelRunResult,
     capacity_profile,
@@ -57,6 +58,7 @@ __all__ = [
     "sim_backend",
     "EventScheduler",
     "BoxRecord",
+    "BoxTrace",
     "ParallelRunResult",
     "capacity_profile",
     "peak_concurrent_height",

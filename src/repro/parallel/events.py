@@ -3,10 +3,19 @@
 Every parallel algorithm in this repository — RAND-PAR, DET-PAR, the
 black-box packing baseline, and the structured OPT schedules — produces the
 same artifact: a :class:`ParallelRunResult` holding per-processor
-completion times plus a full :class:`BoxRecord` trace.  The trace is what
-makes the theory auditable: the well-roundedness checker (§3.3), the
-balance checker (Lemma 7), and the capacity ledger all operate on it
+completion times plus a full trace of every box it ran.  The trace is
+what makes the theory auditable: the well-roundedness checker (§3.3),
+the balance checker (Lemma 7), and the capacity ledger all operate on it
 without re-running the simulation.
+
+A trace has one layout, :class:`BoxTrace`: one block of int64 rows, one
+per box, in the record layout the compiled DET-PAR and RAND-PAR loops
+write, so their boxes never pass through python one at a time.  It is
+also a read-only sequence of :class:`BoxRecord` tuples, built on first
+access.  Whole-trace reductions read the columns with numpy: the
+capacity profile behind every summary's peak height, measured ξ and
+utilization, the impact sums, :meth:`ParallelRunResult.validate` and
+the ``.npz`` archive.  Per-box audits iterate the records.
 
 This module also owns :class:`EventScheduler`, the deterministic min-heap
 event queue that drives the box simulators in :mod:`repro.parallel`:
@@ -30,9 +39,10 @@ selects them together with the dict-LRU box walk, and
 from __future__ import annotations
 
 import heapq
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -42,6 +52,7 @@ __all__ = [
     "sim_backend",
     "EventScheduler",
     "BoxRecord",
+    "BoxTrace",
     "ParallelRunResult",
     "peak_concurrent_height",
     "capacity_profile",
@@ -180,20 +191,123 @@ class BoxRecord(NamedTuple):
 
 
 #: Box records the compiled DET-PAR and RAND-PAR loops buffer between
-#: hand-backs: rows of :func:`drain_records`' ten columns.
+#: hand-backs, as :class:`BoxTrace` rows.
 RECORD_ROWS = 256
 
+# columns of a BoxTrace row (BoxRecord's fields, in order) read by name
+_PROC, _HEIGHT, _START, _END, _PHASE, _TAG = 0, 1, 2, 3, 8, 9
 
-def drain_records(trace: List[BoxRecord], rows: np.ndarray, tags: Sequence[str]) -> None:
-    """Append a compiled loop's record rows to ``trace`` as box records.
 
-    Each row holds the ten fields in order, its tag as an index into
-    ``tags`` (the layout on ``repro_detpar_run`` and ``repro_randpar_run``).
+class BoxTrace(Sequence):
+    """Every box one run executed, as one block of int64 rows.
+
+    Row ``i`` holds box ``i``'s ten :class:`BoxRecord` fields in order,
+    its tag as an index into :attr:`tags`: the layout the compiled
+    DET-PAR and RAND-PAR loops write their record buffers in, so their
+    drivers keep the buffers as they are and concatenate them once.
+    The python loops append :class:`BoxRecord` tuples and
+    :class:`ParallelRunResult` converts that list once
+    (:meth:`from_records`), so every result carries this one
+    representation.
+
+    The form is canonical: :attr:`tags` lists the tags the rows use,
+    sorted, so two traces of the same records have equal rows and pickle
+    to the same bytes, however they were built.  A trace pickles as its
+    rows and tags only.
+
+    It is an immutable sequence of :class:`BoxRecord`: ``len``, truth,
+    iteration, indexing (a slice gives a list) and ``==`` against any
+    record sequence behave as a list of the records would.  The records,
+    with python ints, are built on first access and kept.  Readers of
+    the whole trace — :func:`capacity_profile`, the impact sums,
+    :meth:`ParallelRunResult.validate` and
+    :func:`~repro.parallel.serialize.save_result` — read :attr:`rows`
+    with numpy and build no record; per-box audits (the trace verifier,
+    the well-roundedness checks, the gantt and era views) iterate the
+    records.
     """
-    cols = rows.T.tolist()
-    cols[9] = [tags[x] for x in cols[9]]
-    # tuple.__new__ skips the generated __new__'s frame per record
-    trace.extend(map(tuple.__new__, repeat(BoxRecord), zip(*cols)))
+
+    __slots__ = ("rows", "tags", "_records")
+
+    def __init__(self, rows: Optional[np.ndarray] = None, tags: Sequence[str] = ()) -> None:
+        rows = np.zeros((0, 10), dtype=np.int64) if rows is None else np.array(rows, dtype=np.int64, order="C")
+        self._own(rows, tags)
+
+    def _own(self, rows: np.ndarray, tags: Sequence[str]) -> None:
+        """Take ``rows`` (C-contiguous int64, owned by no one else) in
+        canonical form and make it read-only."""
+        if rows.size == 0:
+            rows = rows.reshape(0, 10)
+        if rows.ndim != 2 or rows.shape[1] != 10:
+            raise ValueError(f"box trace rows must have shape (n, 10), not {rows.shape}")
+        tags = tuple(tags)
+        if len(rows):
+            col = rows[:, _TAG]
+            if col.min() < 0 or col.max() >= len(tags):
+                raise ValueError(f"tag index outside the {len(tags)} tags {tags}")
+            used = sorted({tags[i] for i in np.flatnonzero(np.bincount(col, minlength=len(tags)))})
+            if tuple(used) != tags:
+                where = {t: i for i, t in enumerate(used)}
+                rows[:, _TAG] = np.array([where.get(t, 0) for t in tags], dtype=np.int64)[col]
+                tags = tuple(used)
+        else:
+            tags = ()
+        rows.setflags(write=False)
+        self.rows: np.ndarray = rows
+        self.tags: Tuple[str, ...] = tags
+        self._records: Optional[Tuple[BoxRecord, ...]] = None
+
+    @classmethod
+    def from_blocks(cls, blocks: Sequence[np.ndarray], tags: Sequence[str]) -> "BoxTrace":
+        """The trace of a compiled loop's record buffers, concatenated once."""
+        trace = cls.__new__(cls)
+        trace._own(np.concatenate(blocks) if blocks else np.zeros((0, 10), dtype=np.int64), tags)
+        return trace
+
+    @classmethod
+    def from_records(cls, records: Iterable[BoxRecord]) -> "BoxTrace":
+        """The trace of a sequence of records (itself, for a trace)."""
+        if isinstance(records, BoxTrace):
+            return records
+        records = list(records)
+        tags = sorted({r[_TAG] for r in records})
+        where = {t: i for i, t in enumerate(tags)}
+        trace = cls.__new__(cls)
+        trace._own(np.array([(*r[:_TAG], where[r[_TAG]]) for r in records], dtype=np.int64), tags)
+        return trace
+
+    def records(self) -> Tuple[BoxRecord, ...]:
+        """Every box as a :class:`BoxRecord` of python ints, built once."""
+        if self._records is None:
+            cols = self.rows.T.tolist()
+            cols[_TAG] = [self.tags[x] for x in cols[_TAG]]
+            # tuple.__new__ skips the generated __new__'s frame per record
+            self._records = tuple(map(tuple.__new__, repeat(BoxRecord), zip(*cols)))
+        return self._records
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self.records()[index])
+        return self.records()[index]
+
+    def __iter__(self) -> Iterator[BoxRecord]:
+        return iter(self.records())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, BoxTrace):
+            return self.tags == other.tags and np.array_equal(self.rows, other.rows)
+        if isinstance(other, Sequence) and not isinstance(other, (str, bytes)):
+            return len(other) == len(self) and all(a == b for a, b in zip(self.records(), other))
+        return NotImplemented
+
+    def __reduce__(self):
+        return BoxTrace, (self.rows, self.tags)
+
+    def __repr__(self) -> str:
+        return f"BoxTrace({len(self)} boxes, tags={self.tags})"
 
 
 @dataclass
@@ -207,7 +321,9 @@ class ParallelRunResult:
     completion_times:
         Per-processor completion times (int64 array, length p).
     trace:
-        Every executed box, in start-time order (ties arbitrary).
+        Every executed box, in start-time order (ties arbitrary), as a
+        :class:`BoxTrace`; a sequence of records passed in is converted
+        once.
     cache_size:
         Total cache the algorithm was allowed to reserve (``ξ·k``).
     miss_cost:
@@ -218,10 +334,14 @@ class ParallelRunResult:
 
     algorithm: str
     completion_times: np.ndarray
-    trace: List[BoxRecord]
+    trace: BoxTrace
     cache_size: int
     miss_cost: int
     meta: Dict[str, object] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        # a python loop hands over its list of records: one conversion
+        self.trace = BoxTrace.from_records(self.trace)
 
     @property
     def p(self) -> int:
@@ -239,62 +359,75 @@ class ParallelRunResult:
 
     def total_impact(self) -> int:
         """Total reserved impact across the whole trace."""
-        return sum(r.reserved_impact for r in self.trace)
+        return int(_impacts(self.trace.rows).sum())
 
     def impact_by_proc(self) -> np.ndarray:
         """Reserved impact per processor (int64 array, length p)."""
         out = np.zeros(self.p, dtype=np.int64)
-        for r in self.trace:
-            out[r.proc] += r.reserved_impact
+        rows = self.trace.rows
+        np.add.at(out, rows[:, _PROC], _impacts(rows))
         return out
 
     def boxes_of(self, proc: int) -> List[BoxRecord]:
         """All boxes executed by one processor, in trace order."""
-        return [r for r in self.trace if r.proc == proc]
+        return [self.trace[i] for i in np.flatnonzero(self.trace.rows[:, _PROC] == proc).tolist()]
 
     def validate(self) -> None:
-        """Structural sanity: intervals well-formed, service contiguous."""
-        by_proc: Dict[int, List[BoxRecord]] = {}
-        for r in self.trace:
+        """Structural sanity: intervals well-formed, service contiguous.
+
+        Raises ``AssertionError`` at the first fault a walk over the
+        records finds: a malformed box in trace order, then, processor
+        by processor in order of first appearance, a gap in service
+        between boxes sorted by ``(start, served_start)``.
+        """
+        rows = self.trace.rows
+        proc, _, start, end, s_start, s_end, hits, faults = rows.T[:_PHASE]
+        bad = np.flatnonzero((end < start) | (s_end < s_start) | (hits + faults != s_end - s_start))
+        if len(bad):
+            r = self.trace[int(bad[0])]
             if r.end < r.start:
                 raise AssertionError(f"box with negative duration: {r}")
             if r.served_end < r.served_start:
                 raise AssertionError(f"box with negative service: {r}")
-            if r.hits + r.faults != r.served:
-                raise AssertionError(f"hits+faults != served: {r}")
-            by_proc.setdefault(r.proc, []).append(r)
-        for proc, boxes in by_proc.items():
-            boxes.sort(key=lambda r: (r.start, r.served_start))
-            pos = None
-            for r in boxes:
-                if pos is not None and r.served_start != pos:
-                    raise AssertionError(
-                        f"proc {proc}: service not contiguous at position {pos} vs {r.served_start}"
-                    )
-                pos = r.served_end
+            raise AssertionError(f"hits+faults != served: {r}")
+        order = np.lexsort((s_start, start, proc))  # stable: ties keep trace order
+        proc, s_start, s_end = proc[order], s_start[order], s_end[order]
+        gaps = np.flatnonzero((proc[1:] == proc[:-1]) & (s_start[1:] != s_end[:-1])) + 1
+        if len(gaps):
+            seen, first = np.unique(rows[:, _PROC], return_index=True)
+            k = gaps[np.argmin(first[np.searchsorted(seen, proc[gaps])])]
+            raise AssertionError(
+                f"proc {proc[k]}: service not contiguous at position {s_end[k - 1]} vs {s_start[k]}"
+            )
 
 
-def capacity_profile(trace: Sequence[BoxRecord]) -> Tuple[np.ndarray, np.ndarray]:
+def _impacts(rows: np.ndarray) -> np.ndarray:
+    """Each box's reserved impact, height × reserved duration."""
+    return rows[:, _HEIGHT] * (rows[:, _END] - rows[:, _START])
+
+
+def capacity_profile(trace: Iterable[BoxRecord]) -> Tuple[np.ndarray, np.ndarray]:
     """Step function of total reserved height over time.
 
     Returns ``(times, heights)`` where ``heights[i]`` is the reserved total
-    in ``[times[i], times[i+1])``.  Used by the capacity-ledger tests and
-    the utilization metric.
+    in ``[times[i], times[i+1])``: every start and end of a box that
+    reserves for a nonzero duration is a breakpoint, including those
+    where the changes cancel.  Used by the capacity-ledger tests and the
+    utilization metric.
     """
-    if not trace:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    deltas: Dict[int, int] = {}
-    for r in trace:
-        if r.duration == 0:
-            continue
-        deltas[r.start] = deltas.get(r.start, 0) + r.height
-        deltas[r.end] = deltas.get(r.end, 0) - r.height
-    times = np.array(sorted(deltas), dtype=np.int64)
-    heights = np.cumsum([deltas[int(t)] for t in times]).astype(np.int64)
-    return times, heights
+    rows = BoxTrace.from_records(trace).rows
+    kept = rows[rows[:, _START] != rows[:, _END]]
+    times = np.concatenate((kept[:, _START], kept[:, _END]))
+    order = np.argsort(times)
+    times = times[order]
+    heights = np.cumsum(np.concatenate((kept[:, _HEIGHT], -kept[:, _HEIGHT]))[order])
+    # the running total after the last change at each time
+    last = np.ones(len(times), dtype=bool)
+    last[:-1] = times[1:] != times[:-1]
+    return times[last], heights[last]
 
 
-def peak_concurrent_height(trace: Sequence[BoxRecord]) -> int:
+def peak_concurrent_height(trace: Iterable[BoxRecord]) -> int:
     """Maximum total height reserved at any instant (the memory the
     algorithm actually needed; divide by k for measured ξ)."""
     _, heights = capacity_profile(trace)

@@ -7,6 +7,12 @@ through a single ``.npz`` file.  The audits (`audit_well_rounded`,
 `era_analysis`, `render_gantt`, …) all run off the stored trace, so a
 saved result is fully re-analyzable.
 
+The trace is stored as two arrays: ``trace``, the first nine columns of
+the :class:`~repro.parallel.events.BoxTrace` rows (every record field
+but the tag), and ``trace_tags``, each box's tag as a string.  Both
+directions move the columns whole, with no per-box python, and files
+written before the trace became columns load unchanged.
+
 Scheduler-specific metadata objects (phase records, chunk stats) are
 stored in a JSON-safe projection: dataclasses become dicts, tuples become
 lists; consumers that need the exact original objects should re-run.
@@ -17,15 +23,16 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
-from typing import Any, Dict, List
+from typing import Any
 
 import numpy as np
 
-from .events import BoxRecord, ParallelRunResult
+from .events import BoxTrace, ParallelRunResult
 
 __all__ = ["save_result", "load_result"]
 
-_TRACE_FIELDS = ("proc", "height", "start", "end", "served_start", "served_end", "hits", "faults", "phase")
+#: The stored ``trace`` array's columns: the record fields before the tag.
+_TRACE_COLUMNS = 9
 
 
 def _json_safe(obj: Any) -> Any:
@@ -51,18 +58,15 @@ def save_result(result: ParallelRunResult, path: str | Path) -> None:
     """Write a result (trace included) to ``.npz``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    trace_mat = np.array(
-        [[getattr(r, f) for f in _TRACE_FIELDS] for r in result.trace], dtype=np.int64
-    ).reshape(len(result.trace), len(_TRACE_FIELDS))
-    tags = np.array([r.tag for r in result.trace], dtype=object) if result.trace else np.array([], dtype=object)
+    rows = result.trace.rows
     np.savez_compressed(
         path,
         algorithm=np.array(result.algorithm),
         completion_times=result.completion_times,
         cache_size=np.array(result.cache_size),
         miss_cost=np.array(result.miss_cost),
-        trace=trace_mat,
-        trace_tags=tags,
+        trace=rows[:, :_TRACE_COLUMNS],
+        trace_tags=np.array(result.trace.tags, dtype=object)[rows[:, _TRACE_COLUMNS]],
         meta=np.array(json.dumps(_json_safe(result.meta))),
     )
 
@@ -74,12 +78,9 @@ def load_result(path: str | Path) -> ParallelRunResult:
     original dataclasses.
     """
     with np.load(Path(path), allow_pickle=True) as data:
-        trace_mat = data["trace"]
-        tags = data["trace_tags"]
-        trace: List[BoxRecord] = []
-        for row, tag in zip(trace_mat, tags):
-            kwargs: Dict[str, int] = {f: int(v) for f, v in zip(_TRACE_FIELDS, row)}
-            trace.append(BoxRecord(tag=str(tag), **kwargs))
+        columns = np.asarray(data["trace"], dtype=np.int64).reshape(-1, _TRACE_COLUMNS)
+        tags, index = np.unique(np.asarray(data["trace_tags"]).astype(str), return_inverse=True)
+        trace = BoxTrace(np.column_stack((columns, index.reshape(-1))), tags.tolist())
         return ParallelRunResult(
             algorithm=str(data["algorithm"]),
             completion_times=np.asarray(data["completion_times"], dtype=np.int64),

@@ -182,11 +182,9 @@ class ServiceBackend:
     # submission / polling
     # ------------------------------------------------------------------ #
     def _pending_for(self, client: str) -> int:
-        return sum(
-            1
-            for job in self._jobs.values()
-            if client in job.clients and job.state in ("queued", "running")
-        )
+        # the live jobs are exactly _live_keys' values: they enter at
+        # submit and leave at _finish, so finished jobs cost nothing here
+        return sum(1 for job in self._live_keys.values() if client in job.clients)
 
     def submit(self, request: Request) -> JobStatus:
         """Admit one request; raises :class:`ServiceError` on rejection.

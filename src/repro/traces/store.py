@@ -497,9 +497,15 @@ class TraceStore:
             header = json.loads(header_bytes.decode())
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise TraceCorruptError(f"{self.path}: corrupt store header: {exc}") from exc
+        if not isinstance(header, dict):
+            raise TraceFormatError(f"{self.path}: malformed store header: not a JSON object")
         if header.get("format") != "repro-trace-store":
             raise TraceFormatError(f"{self.path}: unrecognized store format field")
-        version = int(header.get("version", -1))
+        for key in ("version", "data_bytes", "chunk_rows"):
+            value = header.get(key, -1)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TraceFormatError(f"{self.path}: malformed store header: {key} {value!r} is not an integer")
+        version = header.get("version", -1)
         if version > STORE_VERSION or version < 1:
             raise TraceVersionError(
                 f"{self.path}: store version {version} not supported "
@@ -511,7 +517,7 @@ class TraceStore:
         self.header = header
         prefix_len = len(MAGIC) + 8 + header_len
         self._data_start = prefix_len + ((-prefix_len) % _ALIGN)
-        expected = self._data_start + int(header["data_bytes"])
+        expected = self._data_start + header["data_bytes"]
         actual = self.path.stat().st_size
         if actual != expected:
             raise TraceCorruptError(

@@ -13,12 +13,14 @@ byte for byte, in memory and streamed at any chunk size, and the same
 error where the python loop fails.
 
 A streamed run also reads the same ``sim.traces.*`` stream traffic on
-every loop that streams, and its box trace replays exactly under
-:func:`repro.parallel.verify.verify_trace` on the reference tier, which
-shares no code with the compiled sweep or the arena.  At the default
-chunk sizes a store holds a column as one chunk or as many, so both
-the arena of single-chunk columns and the chunk-fed windows are held
-to the in-memory run.
+every loop that streams.  Every finished box schedule, in memory or
+streamed, replays exactly under :func:`repro.parallel.verify.verify_trace`
+on the reference tier, which shares no code with the compiled loops,
+the sweep or the arena: the records a
+:class:`~repro.parallel.events.BoxTrace` yields are the schedule that
+ran.  At the default chunk sizes a store holds a column as one chunk
+or as many, so both the arena of single-chunk columns and the
+chunk-fed windows are held to the in-memory run.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import pytest
 from repro.core import BlackBoxPar, DetPar, RandPar
 from repro.obs import metrics as obs_metrics
 from repro.paging.kernel import KERNEL_ENV, clear_kernel_cache, native_flavor
-from repro.parallel import StreamingWorkload, open_streaming
+from repro.parallel import open_streaming
 from repro.parallel.timestep import GlobalLRU
 from repro.parallel.verify import verify_trace
 from repro.traces.store import write_store
@@ -92,20 +94,20 @@ def observe(name, run, wl):
 
 def _observe(name, run, wl):
     """:func:`observe`, and the wall-stripped ``sim.traces.*`` counters of
-    the run.  A streamed box schedule that finished is replayed first."""
+    the run.  A box schedule that finished is replayed first."""
     with loop(name), obs_metrics.collecting() as reg:
         try:
             res = run(wl)
         except ValueError as exc:
             return (type(exc).__name__, str(exc)), None
     res.validate()
-    if res.trace and res.meta.get("finished", True) and isinstance(wl, StreamingWorkload):
+    if res.trace and res.meta.get("finished", True):
         with loop("reference"):
             check = verify_trace(res, wl)
         assert check.ok, check.errors[:5]
     counters = obs_metrics.strip_wall(reg.snapshot())["counters"]
     traffic = {k: v for k, v in counters.items() if k.startswith("sim.traces.")}
-    return (res.completion_times.tolist(), list(res.trace), res.meta), traffic
+    return (res.completion_times.tolist(), res.trace, res.meta), traffic
 
 
 def streamed(wl, tmp_path, chunk_rows):

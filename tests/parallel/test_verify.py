@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -86,19 +87,21 @@ class TestVerifierCatchesCorruption:
 
     def test_detects_wrong_counts(self):
         wl, res = self._good_run()
-        idx = next(i for i, r in enumerate(res.trace) if r.served > 0)
-        bad = res.trace[idx]._replace(hits=res.trace[idx].hits + 1, faults=max(0, res.trace[idx].faults - 1))
-        res.trace[idx] = bad
-        v = verify_trace(res, wl)
+        trace = list(res.trace)
+        idx = next(i for i, r in enumerate(trace) if r.served > 0)
+        bad = trace[idx]._replace(hits=trace[idx].hits + 1, faults=max(0, trace[idx].faults - 1))
+        trace[idx] = bad
+        v = verify_trace(replace(res, trace=trace), wl)
         assert not v.ok
         assert any("claims" in e for e in v.errors)
 
     def test_detects_wrong_progress(self):
         wl, res = self._good_run()
-        idx = next(i for i, r in enumerate(res.trace) if r.served > 1)
-        bad = res.trace[idx]._replace(served_end=res.trace[idx].served_end - 1)
-        res.trace[idx] = bad
-        v = verify_trace(res, wl)
+        trace = list(res.trace)
+        idx = next(i for i, r in enumerate(trace) if r.served > 1)
+        bad = trace[idx]._replace(served_end=trace[idx].served_end - 1)
+        trace[idx] = bad
+        v = verify_trace(replace(res, trace=trace), wl)
         assert not v.ok
 
     def test_detects_wrong_completion_time(self):
@@ -110,8 +113,9 @@ class TestVerifierCatchesCorruption:
 
     def test_detects_missing_service(self):
         wl, res = self._good_run()
-        proc0 = [i for i, r in enumerate(res.trace) if r.proc == 0]
+        trace = list(res.trace)
+        proc0 = [i for i, r in enumerate(trace) if r.proc == 0]
         last = proc0[-1]
-        res.trace.pop(last)
-        v = verify_trace(res, wl)
+        trace.pop(last)
+        v = verify_trace(replace(res, trace=trace), wl)
         assert not v.ok

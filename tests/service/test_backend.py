@@ -10,7 +10,7 @@ so every rejection path is exercised deterministically.
 
 import pytest
 
-from repro.client.protocol import ExperimentRequest, RunRequest, ServiceError, WorkloadSpec
+from repro.client.protocol import ExperimentRequest, RunReply, RunRequest, ServiceError, WorkloadSpec
 from repro.obs import metrics as obs_metrics
 from repro.obs.runtime import observability
 from repro.service.backend import ServiceBackend, ServiceQuota
@@ -98,6 +98,18 @@ class TestAdmissionControl:
         assert exc.value.status == 429
         # a different client is unaffected
         backend.submit(_run_request(client="bob", seed=3))
+
+    def test_finished_jobs_do_not_count_against_the_quota(self):
+        backend = ServiceBackend(quota=ServiceQuota(max_queue=64, max_pending_per_client=2))
+        for seed in range(1000):  # run by hand: the worker is not started
+            backend.submit(_run_request(client="alice", seed=seed))
+            backend._finish(backend._next_job(), reply=RunReply(job_id="", state="done"))
+        assert len(backend.jobs()) == 1000
+        backend.submit(_run_request(client="alice", seed=1000))
+        backend.submit(_run_request(client="alice", seed=1001))
+        with pytest.raises(ServiceError) as exc:
+            backend.submit(_run_request(client="alice", seed=1002))
+        assert exc.value.code == "quota-exceeded"
 
     def test_full_queue_is_a_typed_503(self):
         backend = ServiceBackend(quota=ServiceQuota(max_queue=2, max_pending_per_client=8))

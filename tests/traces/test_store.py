@@ -38,13 +38,16 @@ def workload(p=3, n=2000, name="store-test"):
     return ParallelWorkload(sequences=seqs, name=name, meta={"kind": "synthetic"})
 
 
-def rewrite_header(path, edit):
+def rewrite_header(path, edit, replace=False):
     """A copy of the store at ``path`` whose JSON header ``edit`` changed
-    in place; the payload bytes stay as they are."""
+    in place (or, with ``replace``, that holds what ``edit`` returns
+    instead); the payload bytes stay as they are."""
     full = path.read_bytes()
     (header_len,) = struct.unpack("<Q", full[8:16])
     header = json.loads(full[16 : 16 + header_len])
-    edit(header)
+    edited = edit(header)
+    if replace:
+        header = edited
     hb = json.dumps(header, sort_keys=True).encode()
     new = MAGIC + struct.pack("<Q", len(hb)) + hb
     new += b"\x00" * ((-len(new)) % 64)
@@ -246,6 +249,26 @@ class TestCorruption:
     def test_future_version_is_version_error(self, tmp_path):
         path = rewrite_header(self._store_path(tmp_path), lambda h: h.update(version=99))
         with pytest.raises(TraceVersionError, match="version 99"):
+            TraceStore(path)
+
+    def test_header_that_is_not_an_object_is_format_error(self, tmp_path):
+        path = rewrite_header(self._store_path(tmp_path), lambda h: [h], replace=True)
+        with pytest.raises(TraceFormatError, match="malformed store header: not a JSON object"):
+            TraceStore(path)
+
+    def test_version_that_is_not_an_integer_is_format_error(self, tmp_path):
+        path = rewrite_header(self._store_path(tmp_path), lambda h: h.update(version="one"))
+        with pytest.raises(TraceFormatError, match="malformed store header: version 'one' is not an integer"):
+            TraceStore(path)
+
+    def test_data_bytes_that_is_not_an_integer_is_format_error(self, tmp_path):
+        path = rewrite_header(self._store_path(tmp_path), lambda h: h.update(data_bytes="x"))
+        with pytest.raises(TraceFormatError, match="malformed store header: data_bytes 'x' is not an integer"):
+            TraceStore(path)
+
+    def test_chunk_rows_that_is_not_an_integer_is_format_error(self, tmp_path):
+        path = rewrite_header(self._store_path(tmp_path), lambda h: h.update(chunk_rows=2.5))
+        with pytest.raises(TraceFormatError, match="malformed store header: chunk_rows 2.5 is not an integer"):
             TraceStore(path)
 
     def test_column_offset_off_its_place_is_corrupt_error(self, tmp_path):

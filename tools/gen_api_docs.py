@@ -262,6 +262,18 @@ reference as bit-identical oracles below it:
   ends (python plans the next one) and when its record buffer
   fills.  The C code keeps no static state, so threads may run loops
   side by side.
+- **Box traces as columns.** DET-PAR's and RAND-PAR's compiled loops
+  write each box as a ten-column int64 record row; their drivers keep
+  each full record buffer as one block and concatenate the blocks once,
+  so a run's `BoxTrace` is those rows, with no python per box.  The
+  python loops' `BoxRecord` lists are converted once, so every
+  `ParallelRunResult` carries this one representation.  `BoxTrace` is
+  an immutable sequence of `BoxRecord`s built on first access (the
+  trace verifier and the audits iterate them); `capacity_profile`, and
+  through it `summarize`, the impact sums, `validate` and
+  `save_result`/`load_result` read the columns with numpy.
+  `tests/parallel/test_box_trace.py` holds every one of those to the
+  per-record code it replaced.
 - **MIN in one call.** `belady_faults`, and with it `min_service_time`,
   both certified lower bounds, `fairness_report` and
   `BestStaticPartition`, is one `repro_min_run` call on the native
