@@ -1,4 +1,4 @@
-"""Benchmark: reference dict-LRU loop vs numpy fast kernel vs native tier.
+"""Benchmark: the reference tier's python loops vs the native tier.
 
 Two measurements, both best-of-``ROUNDS`` wall clock with rounds
 interleaved across backends (same drift-cancelling idiom as bench_obs):
@@ -12,17 +12,16 @@ interleaved across backends (same drift-cancelling idiom as bench_obs):
   DP solves with RAND-GREEN box rollouts and the scheduling harness.
 
 Backends are selected via the ``REPRO_KERNEL`` environment variable
-(``reference`` / ``fast`` / ``native``), the same escape hatch users
-have.  The native tier (the default) compiles the bundled C source via
-``cc``; without a compiler it falls back to the numpy fast path and the
-report records ``native_flavor: null``.  Results go to
+(``reference`` / ``native``), the same escape hatch users have.  The
+native tier (the default) compiles the bundled C source via ``cc``;
+without a compiler it resolves to the reference tier and the report
+records ``native_flavor: null``.  Results go to
 ``benchmarks/out/BENCH_kernel.json`` **and** to the repo-root
 ``BENCH_kernel.json``, which is committed per-PR (ROADMAP item 2c) so
-the bench trajectory is diffable in review.  The run **fails** if the
-fast kernel is slower than the reference loop on the DP microbench, if
-a compiled native flavor is slower than the fast kernel there, or if
-any measurement's outputs differ between backends (the kernels are
-only valid if they are bit-identical).
+the bench trajectory is diffable in review.  The run **fails** if a
+compiled native flavor is slower than the reference loops on the DP
+microbench, or if any measurement's outputs differ between backends
+(the compiled tier is only valid if it is bit-identical).
 """
 
 from __future__ import annotations
@@ -113,31 +112,26 @@ def bench_kernel_speedup(benchmark, out_dir):
 
     # warm imports, lattice caches, the page cache, and (for the native
     # tier) the one-off cc compile out of the measurement
-    with_backend("fast", run_e1)
+    with_backend("reference", run_e1)
     flavor = with_backend("native", lambda: native_flavor())
     with_backend("native", solve_dp)
 
-    dp_ref, dp_fast, dp_native, e1_ref, e1_fast, e1_native = _best_of_interleaved(
+    dp_ref, dp_native, e1_ref, e1_native = _best_of_interleaved(
         [
             timed("reference", solve_dp, "dp"),
-            timed("fast", solve_dp, "dp"),
             timed("native", solve_dp, "dp"),
             timed("reference", run_e1, "e1"),
-            timed("fast", run_e1, "e1"),
             timed("native", run_e1, "e1"),
         ]
     )
     benchmark.pedantic(timed("native", solve_dp, "dp"), rounds=1, iterations=1)
 
-    for backend in ("fast", "native"):
-        assert outputs[("reference", "dp")] == outputs[(backend, "dp")], (
-            f"DP impacts differ between kernels — the {backend} kernel is "
-            f"not bit-identical"
-        )
-        assert outputs[("reference", "e1")] == outputs[(backend, "e1")], (
-            f"E1 result rows differ between kernels — the {backend} kernel "
-            f"is not bit-identical"
-        )
+    assert outputs[("reference", "dp")] == outputs[("native", "dp")], (
+        "DP impacts differ between tiers — the native tier is not bit-identical"
+    )
+    assert outputs[("reference", "e1")] == outputs[("native", "e1")], (
+        "E1 result rows differ between tiers — the native tier is not bit-identical"
+    )
 
     report = {
         "rounds": ROUNDS,
@@ -145,17 +139,13 @@ def bench_kernel_speedup(benchmark, out_dir):
         "native_flavor": flavor,
         "dp": {
             "reference_s": dp_ref,
-            "fast_s": dp_fast,
             "native_s": dp_native,
-            "speedup": dp_ref / dp_fast,
-            "native_speedup_vs_fast": dp_fast / dp_native,
+            "speedup": dp_ref / dp_native,
         },
         "e1_quick": {
             "reference_s": e1_ref,
-            "fast_s": e1_fast,
             "native_s": e1_native,
-            "speedup": e1_ref / e1_fast,
-            "native_speedup_vs_fast": e1_fast / e1_native,
+            "speedup": e1_ref / e1_native,
         },
         "outputs_identical": True,
     }
@@ -165,14 +155,10 @@ def bench_kernel_speedup(benchmark, out_dir):
     # the committed, diffable copy (benchmarks/out/ is gitignored)
     (Path(__file__).resolve().parents[1] / "BENCH_kernel.json").write_text(payload)
 
-    assert dp_fast <= dp_ref, (
-        f"fast kernel is slower than the reference loop on the offline DP "
-        f"(fast={dp_fast:.3f}s, reference={dp_ref:.3f}s)"
-    )
     if flavor is not None:
-        # without a C compiler the native tier *is* the fast path, so
+        # without a C compiler the native tier *is* the reference, so
         # there is nothing to gate; with a compiled flavor it must win.
-        assert dp_native <= dp_fast, (
-            f"native kernel ({flavor}) is slower than the numpy fast path on "
-            f"the offline DP (native={dp_native:.3f}s, fast={dp_fast:.3f}s)"
+        assert dp_native <= dp_ref, (
+            f"native kernel ({flavor}) is slower than the reference loops on "
+            f"the offline DP (native={dp_native:.3f}s, reference={dp_ref:.3f}s)"
         )

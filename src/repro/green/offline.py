@@ -19,9 +19,13 @@ budget ``s·h >= s`` always serves at least one request), so one increasing
 sweep over positions settles all distances — no priority queue needed.
 
 Cost: O(Σ_{reachable q, level} service(q, h)); in practice the dominant
-term is the tall-box simulations.  Experiments keep ``n`` in the tens of
-thousands, well within budget for pure Python per the HPC guide's
-"algorithmic optimization first" doctrine.
+term is the tall-box simulations.  On the native kernel tier the whole
+relaxation runs compiled over one reuse-distance precompute
+(:func:`repro.paging.kernel.native_dp_solve`); on the reference tier it
+is the python sweep below, one dict-LRU :func:`~repro.paging.engine.run_box`
+per endpoint.  Both run in int64-exact arithmetic: every impact on the
+way is at most ``n · s · h_max²`` (each box serves at least one request),
+and a lattice that could pass that bound is rejected up front.
 """
 
 from __future__ import annotations
@@ -33,7 +37,8 @@ import numpy as np
 
 from ..core.box import BoxProfile, HeightLattice
 from ..obs import metrics as obs_metrics
-from ..paging.kernel import ladder_ends, native_dp_solve
+from ..paging.engine import run_box
+from ..paging.kernel import native_dp_solve
 
 __all__ = ["OfflineGreenResult", "optimal_box_profile", "prefix_optimal_impacts"]
 
@@ -84,11 +89,18 @@ def optimal_box_profile(
     for h in heights:
         if h < 1:
             raise ValueError(f"box height must be >= 1, got {h}")
+    hladder = tuple(int(h) for h in heights)
+    # every path's impact is at most one full box of the tallest height
+    # per request, so below _INF both tiers' sums are exact
+    if max(n, 1) * s * max(hladder) ** 2 >= _INF:
+        raise ValueError(
+            f"impacts of {n} requests at miss_cost={s} and height {max(hladder)} "
+            f"can reach 2**63 - 1, past the DP's int64 distances"
+        )
     # One reuse-distance precompute amortized over every probe — keyed on
     # the caller's array when no copy was needed, so repeated solves on
     # the same sequence (replications, sweeps) share one kernel.
     key = seq if seq is raw or not isinstance(raw, np.ndarray) else raw
-    hladder = tuple(int(h) for h in heights)
     budgets = tuple(s * h for h in hladder)
     costs = [s * h * h for h in hladder]
     # native kernel tier: the whole relaxation runs compiled, with the
@@ -101,17 +113,13 @@ def optimal_box_profile(
         # the traceback below walks plain ints, not numpy scalars
         parent_pos, parent_h = parent_pos.tolist(), parent_h.tolist()
     else:
-        # Batched relaxation: on the numpy tier, blocked windowed passes
-        # yield the endpoints of every lattice height for a run of
-        # consecutive starts at once (the hit sets of a geometric height
-        # ladder are nested — see SequenceKernel.ladder_plan); under
-        # REPRO_KERNEL=reference each endpoint is one run_box.  The tables
-        # live as plain-int lists during the sweep: the loop body is
-        # scalar compares, where numpy scalar indexing would triple the
-        # cost.  A taller box reaching the same endpoint is dominated, but
-        # every height is needed because endpoints differ; no pruning
-        # beyond the relaxation itself is sound in general.
-        ends = ladder_ends(key, hladder, budgets, s)
+        # Reference tier: each endpoint is one dict-LRU run_box.  The
+        # tables live as plain-int lists during the sweep: the loop body
+        # is scalar compares, where numpy scalar indexing would triple
+        # the cost.  A taller box reaching the same endpoint is
+        # dominated, but every height is needed because endpoints differ;
+        # no pruning beyond the relaxation itself is sound in general.
+        ladder = tuple(zip(hladder, budgets, costs))
         dist_l = [_INF] * (n + 1)
         parent_pos = [-1] * (n + 1)
         parent_h = [0] * (n + 1)
@@ -120,7 +128,8 @@ def optimal_box_profile(
             d = dist_l[q]
             if d == _INF:
                 continue
-            for h, c, end in zip(hladder, costs, ends(q)):
+            for h, b, c in ladder:
+                end = run_box(seq, q, h, b, s).end
                 nd = d + c
                 if nd < dist_l[end]:
                     dist_l[end] = nd

@@ -8,10 +8,10 @@ This package is the foundation everything else stands on:
   certified makespan lower bounds;
 * :mod:`~repro.paging.engine` — the compartmentalized-box execution engine
   shared by every algorithm in :mod:`repro.core`;
-* :mod:`~repro.paging.kernel` — the vectorized reuse-distance box kernel
+* :mod:`~repro.paging.kernel` — the compiled reuse-distance box kernel
   (``run_box_fast``) that serves every hot path, and ``box_walk``, which
   picks it or the engine's dict-LRU, the cross-checked reference
-  (``REPRO_KERNEL=reference``);
+  (``REPRO_KERNEL=reference``, or a host without a C compiler);
 * :mod:`~repro.paging.stack` — Mattson stack distances / miss-ratio curves
   for workload characterization and test oracles.
 """

@@ -1,27 +1,25 @@
 """Compiled kernel primitives: the production kernel tier.
 
-The numpy fast path (:mod:`repro.paging.kernel`) already amortizes the
-reuse-distance precompute, but seven inner loops remain bound by python
-or by O(window) vectorized work per probe:
+Every loop the paper's algorithms spend their time in runs here, over
+int64 arrays, at C speed; the python loops of the reference tier
+(:mod:`repro.paging.kernel`) are the no-compiler path and the oracle
+each one is held to.  The loops:
 
-* the reuse-distance sweep (a python Fenwick loop beyond the vectorized
-  build cutoff, O(n log² n) numpy below it, and an argsort plus a
-  histogram of the whole window per chunk a stream appends).  Compiled,
-  it is one per-row step (``sweep_row``) under two entries.  The
-  streaming window's append (``repro_stream_append``) keeps the
-  window's columns, Fenwick tree and page table in one block the
-  :class:`repro.paging.kernel.StreamKernel` owns, and a chunk costs
+* the reuse-distance sweep, one per-row step (``sweep_row``) under two
+  entries.  The streaming window's append (``repro_stream_append``)
+  keeps the window's columns, Fenwick tree and page table in one block
+  the :class:`repro.paging.kernel.StreamKernel` owns, and a chunk costs
   O(chunk) work, amortized.  ``repro_sweep_columns`` sweeps whole
   columns of one int64 payload into one arena in one call: a
   ``SequenceKernel``'s sequence is its one-column case, and a streamed
   run sweeps every column its trace store holds as a single chunk
   straight from the store's memory map;
-* the per-box service walk (a cumsum over the whole budget window even
-  when the box serves a dozen requests),
-* the offline green DP relaxation (a python ``zip`` loop over every
-  reachable position × ladder level),
-* GLOBAL-LRU's shared-cache event loop (one python LRU touch and heap
-  step per request, :class:`repro.parallel.timestep.GlobalLRU`),
+* the per-box service walk (a dict-LRU step per request in python),
+* the offline green DP relaxation (a python loop over every reachable
+  position × ladder level, with one box walk per step),
+* GLOBAL-LRU's shared-cache event loop (in python, one LRU touch per
+  request and a rescan of every processor per instant,
+  :class:`repro.parallel.timestep.GlobalLRU`),
 * DET-PAR's event loop (one python heap step, segment and box record per
   event, :class:`repro.core.det_par.DetPar`),
 * RAND-PAR's chunk schedule (one python box call and record per box,
@@ -45,18 +43,17 @@ threads may run loops side by side.
 This module compiles those loops from one small C translation unit with
 the system C compiler (``$CC``, default ``cc``) into a content-addressed
 shared library and loads it through :mod:`ctypes` (no third-party
-dependency at all).  Every value it produces — reuse distances, box
-endpoints, DP distances and parent pointers, GLOBAL-LRU completion times
-and counts, DET-PAR's and RAND-PAR's completions and box records, MIN's
-fault counts — is bit-identical to the numpy fast path (or python loop) and to
-the reference.  With ``$REPRO_KERNEL`` unset the kernel runs on this
-tier whenever the library builds; when it cannot be built (no compiler)
-:func:`native_ops` returns ``None`` and the kernel falls back to the
-numpy fast path (see :func:`repro.paging.kernel.kernel_backend`).
-Whether it builds is observed once per process, not chosen:
-``REPRO_KERNEL=fast`` is how a caller pins the numpy tier, and
-``CC=false`` with an empty cache is how CI simulates a host without a
-compiler.
+dependency at all).  Every value it produces — box endpoints, DP
+distances and parent pointers, GLOBAL-LRU completion times and counts,
+DET-PAR's and RAND-PAR's completions and box records, MIN's fault
+counts — is bit-identical to the python loops of the reference tier.
+With ``$REPRO_KERNEL`` unset the kernel runs on this tier whenever the
+library builds; when it cannot be built (no compiler) :func:`native_ops`
+returns ``None`` and every caller runs its reference loop instead (see
+:func:`repro.paging.kernel.kernel_backend`).  Whether it builds is
+observed once per process, not chosen: ``REPRO_KERNEL=reference`` is
+how a caller pins the python loops, and ``CC=false`` with an empty
+cache is how CI simulates a host without a compiler.
 
 The library is cached per user in
 ``$REPRO_NATIVE_CACHE`` (default ``$TMPDIR/repro-native-<uid>``,
@@ -101,7 +98,9 @@ _C_SOURCE = r"""
  * predicate.  Columns hold global previous-occurrence positions, so a
  * box from global position `start` walks column rows [i, n) and hits
  * iff prev >= start && reuse < height.  Returns the first row not
- * served; hits and time used go to *hits and *used. */
+ * served; hits and time used go to *hits and *used.  A request fits
+ * while c <= budget - t, which cannot overflow: t is 0, or served time
+ * no greater than budget. */
 static int64_t box_walk(const int64_t *prev, const int64_t *reuse, int64_t i,
                         int64_t n, int64_t start, int64_t height,
                         int64_t budget, int64_t s, int64_t *hits,
@@ -109,7 +108,7 @@ static int64_t box_walk(const int64_t *prev, const int64_t *reuse, int64_t i,
     int64_t t = 0, h = 0, c;
     while (i < n) {
         c = (prev[i] >= start && reuse[i] < height) ? 1 : s;
-        if (t + c > budget)
+        if (c > budget - t)
             break;
         t += c;
         h += (c == 1);
@@ -248,7 +247,8 @@ void repro_sweep_columns(const int64_t *data, const int64_t *start, const int64_
  * positions, ascending ladder levels, strict-< improvement — the exact
  * tie-breaking of the python sweep, so distances and parent pointers
  * are bit-identical.  dist has length n + 1 with dist[0] = 0 and inf
- * elsewhere on entry. */
+ * elsewhere on entry; the caller keeps n * s * max(heights)^2 below inf,
+ * so no distance overflows. */
 void repro_dp_solve(const int64_t *prev, const int64_t *lev, int64_t n,
                     int64_t L, const int64_t *budgets, const int64_t *costs,
                     const int64_t *heights, int64_t s, int64_t inf,
@@ -264,7 +264,7 @@ void repro_dp_solve(const int64_t *prev, const int64_t *lev, int64_t n,
             i = q;
             while (i < n) {
                 c = (prev[i] >= q && lev[i] <= l) ? 1 : s;
-                if (t + c > budget)
+                if (c > budget - t)  /* as in box_walk: no overflow */
                     break;
                 t += c;
                 i++;
@@ -279,7 +279,7 @@ void repro_dp_solve(const int64_t *prev, const int64_t *lev, int64_t n,
     }
 }
 
-/* GLOBAL-LRU's event loop (repro.parallel.timestep.GlobalLRU._run_event)
+/* GLOBAL-LRU's event loop (repro.parallel.timestep.GlobalLRU._run_native)
  * over caller-owned state, so it can return when a processor's chunk runs
  * out and resume once the caller installs the next one:
  *   st    key, heap size, resident pages, MRU node, LRU node, hits,

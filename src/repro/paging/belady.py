@@ -21,8 +21,8 @@ and the best static partition) runs as one compiled call on the native
 kernel tier (``repro_min_run`` in :mod:`repro.paging._native`): a
 backward pass over an open-addressing page table finds the next uses,
 and a forward pass keeps the resident pages in a max-heap keyed by next
-use, in O(n log n).  On the numpy tier (``REPRO_KERNEL=fast`` or
-``reference``, or no compiler) it runs :class:`BeladySimulation`, which
+use, in O(n log n).  On the reference tier (``REPRO_KERNEL=reference``,
+or a host without a C compiler) it runs :class:`BeladySimulation`, which
 is also the step-through API and the oracle the compiled count is held
 to.  That python loop keeps a lazy max-heap of ``(-next_use, page)``
 entries; stale entries (from pages whose next use was updated or that

@@ -11,12 +11,13 @@ sequence through exactly one operation:
 :func:`run_box` implements that operation with a hand-rolled
 dict+linked-list LRU inline (hoisting all lookups into locals) rather than
 going through the :class:`~repro.paging.lru.LRUCache` attribute API.  It is
-no longer the production hot loop: the reuse-distance kernel in
-:mod:`repro.paging.kernel` (``run_box_fast``) serves every call site, and
-this per-request loop is kept as the cross-checked reference semantics,
-the box walk :func:`~repro.paging.kernel.box_walk` returns under
-``REPRO_KERNEL=reference``.  The two implementations are asserted
-bit-identical in the test suite.
+not the production hot loop: on the native kernel tier the compiled
+reuse-distance kernel in :mod:`repro.paging.kernel` (``run_box_fast``)
+serves every call site.  This per-request loop is the reference
+semantics, the box walk :func:`~repro.paging.kernel.box_walk` returns on
+the reference tier (``REPRO_KERNEL=reference``, or a host without a C
+compiler).  The two implementations are asserted bit-identical in the
+test suite.
 
 Timing semantics (paper §2, with the additive +1 folded into ``s``):
 
@@ -254,8 +255,8 @@ def execute_profile(
     would still progress, so in practice the guard only trips on bugs).
 
     Boxes run on the tier's box walk (:func:`repro.paging.kernel.box_walk`):
-    the cached reuse-distance kernel, or the dict-LRU loop under
-    ``REPRO_KERNEL=reference``; both produce bit-identical runs.
+    the cached reuse-distance kernel, or the dict-LRU loop on the
+    reference tier; both produce bit-identical runs.
 
     Every consumed box is charged in full for impact and wall time, even
     the final partially-used one — matching the paper's box accounting.
@@ -314,14 +315,15 @@ def execute_profile_streaming(
     :func:`execute_profile` on the concatenated array, but peak memory is
     bounded by one box window plus one chunk: a box of height ``h`` can
     serve at most ``miss_cost·h`` requests (each costs >= 1 time unit), so
-    only ``[pos, pos + budget)`` ever needs to be resident.
+    only ``[pos, pos + budget)`` ever needs to be resident, and everything
+    behind ``pos`` is dropped before each chunk is pulled.
 
-    Chunks feed an incremental :class:`~repro.paging.kernel.StreamKernel`
-    on every tier — one amortized sweep per request, zero window
-    concatenation — and the swept prefix is compacted away as execution
-    advances.  Under ``REPRO_KERNEL=reference`` the kernel runs on the
-    numpy tier, and the streaming tests hold it to the dict-LRU
-    :func:`run_box` that :func:`execute_profile` runs there.
+    On the native tier chunks feed an incremental
+    :class:`~repro.paging.kernel.StreamKernel` — one amortized sweep per
+    request, zero window concatenation, an O(1) compaction.  On the
+    reference tier each box is the dict-LRU :func:`run_box` over a window
+    of raw requests from ``pos`` on, the loop :func:`execute_profile`
+    runs there.
     """
     from . import kernel as _kernel
 
@@ -329,7 +331,9 @@ def execute_profile_streaming(
     runs: List[BoxRun] = []
     height_it: Iterator[int] = iter(heights)
     chunk_it: Iterator[np.ndarray] = iter(chunks)
-    stream = _kernel.StreamKernel()
+    stream = _kernel.StreamKernel() if _kernel._active_native() is not None else None
+    window = np.empty(0, dtype=np.int64)  # reference tier: requests from `base` on
+    base = 0
     loaded = 0  # total requests pulled from the stream so far
     exhausted = False
     pos = int(start)
@@ -338,8 +342,10 @@ def execute_profile_streaming(
     count = 0
 
     def pull() -> bool:
-        """Load one more non-empty chunk; False once the stream ends."""
-        nonlocal loaded, exhausted
+        """Drop the requests behind ``pos`` (no future box starts before
+        it), then load one more non-empty chunk; False once the stream
+        ends."""
+        nonlocal loaded, exhausted, window, base
         while True:
             try:
                 chunk = next(chunk_it)
@@ -350,7 +356,13 @@ def execute_profile_streaming(
             if arr.ndim != 1:
                 raise ValueError("chunks must be 1-D request arrays")
             if len(arr):
-                stream.append(arr)
+                drop = max(base, min(pos, loaded))
+                if stream is not None:
+                    stream.compact(drop)
+                    stream.append(arr)
+                else:
+                    window = np.concatenate((window[drop - base :], arr))
+                    base = drop
                 loaded += len(arr)
                 return True
 
@@ -368,13 +380,11 @@ def execute_profile_streaming(
         budget = mc * h
         while not exhausted and loaded < pos + budget:
             pull()
-        # No future box starts before ``pos``, so everything behind it is
-        # dead weight; compact once the dead prefix outweighs the live
-        # window (amortizing the Fenwick rebuild).
-        dead = pos - stream.base
-        if dead >= _kernel.STREAM_COMPACT_MIN and dead >= len(stream) - dead:
-            stream.compact(pos)
-        run = _kernel.run_box_fast(stream, pos, h, budget, mc)
+        if stream is not None:
+            run = _kernel.run_box_fast(stream, pos, h, budget, mc)
+        else:
+            run = run_box(window, pos - base, h, budget, mc)
+            run = run._replace(start=pos, end=base + run.end)
         runs.append(run)
         pos = run.end
         impact += mc * h * h

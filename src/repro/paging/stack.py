@@ -10,11 +10,12 @@ page itself), and a request hits in a cache of size c iff its stack
 distance is <= c.
 
 The stack distance of a warm request is its reuse distance plus one, so
-:func:`stack_distances` reads it off the box kernel's
-:class:`~repro.paging.kernel.SequenceKernel`: one reuse-distance sweep
-serves the box engine and these curves alike, compiled on the native
-kernel tier and numpy (vectorized, or a Fenwick sweep on long sequences)
-on the fallback.  :class:`Fenwick` stays public for the streaming
+on the native kernel tier :func:`stack_distances` reads it off the box
+kernel's :class:`~repro.paging.kernel.SequenceKernel`: one compiled
+reuse-distance sweep serves the box engine and these curves alike.  On
+the reference tier (and on a host without a C compiler) it runs the
+same deletion-form Fenwick sweep in python.  :class:`Fenwick` stays
+public for the streaming
 :class:`~repro.workloads.stats.ReuseDistanceTracker`.
 
 These curves power workload characterization in the examples, the
@@ -26,11 +27,11 @@ counts for all capacities at once).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
-from .kernel import SequenceKernel
+from .kernel import SequenceKernel, _active_native
 
 __all__ = ["Fenwick", "stack_distances", "MissRatioCurve", "miss_ratio_curve", "lru_faults_all_sizes"]
 
@@ -81,11 +82,46 @@ def stack_distances(requests: Sequence[int]) -> np.ndarray:
     0 as "infinite distance"; 0 is unambiguous because true distances are
     always >= 1).
 
-    O(n log n) time, O(n) space.  The kernel is built afresh, not taken
-    from the kernel cache, so profiling a sequence pins no memory.
+    O(n log n) time, O(n) space.  On the native tier the kernel is built
+    afresh, not taken from the kernel cache, so profiling a sequence pins
+    no memory.
     """
-    kern = SequenceKernel(np.asarray(requests, dtype=np.int64))
-    return np.where(kern.prev_occ >= 0, kern.reuse_dist, -1) + 1
+    seq = np.asarray(requests, dtype=np.int64)
+    if _active_native() is not None:
+        kern = SequenceKernel(seq)
+        return np.where(kern.prev_occ >= 0, kern.reuse_dist, -1) + 1
+    return np.asarray(_fenwick_distances(seq.tolist()), dtype=np.int64)
+
+
+def _fenwick_distances(seq: List[int]) -> List[int]:
+    """:func:`stack_distances` by a python Fenwick sweep in deletion form:
+    position ``j`` is marked once its page recurs, so the distinct pages
+    between an occurrence pair are the gap's length minus the marks
+    inside it, plus the page itself (tree work only on warm requests)."""
+    n = len(seq)
+    tree = [0] * (n + 1)
+    last: Dict[int, int] = {}
+    out = [0] * n
+    for i, page in enumerate(seq):
+        j = last.get(page, -1)
+        last[page] = i
+        if j < 0:
+            continue
+        acc = i - j  # gap length plus one, minus marks in (j, i):
+        x = i  # marked in 1-indexed prefix [1, i] = positions < i
+        while x > 0:
+            acc -= tree[x]
+            x -= x & -x
+        x = j + 1  # add back the marks at positions <= j
+        while x > 0:
+            acc += tree[x]
+            x -= x & -x
+        out[i] = acc
+        x = j + 1  # j is no longer its page's latest occurrence
+        while x <= n:
+            tree[x] += 1
+            x += x & -x
+    return out
 
 
 @dataclass(frozen=True)

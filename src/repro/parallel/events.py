@@ -29,10 +29,11 @@ it keeps a bare heap of ``(time, processor)`` keys, which pops the
 same ``(time, priority=processor)`` order without the per-event token,
 payload and cancellation bookkeeping, and skips the heap entirely while
 the processor it just served still holds the earliest completion.  That
-loop runs compiled on the native kernel tier, in python otherwise (see
+loop runs compiled on the native kernel tier (see
 :mod:`repro.parallel.timestep`).  The retained per-timestep loops are the
-reference oracle: ``REPRO_KERNEL=reference``, the one backend switch,
-selects them together with the dict-LRU box walk, and
+reference oracle and the no-compiler path: ``REPRO_KERNEL=reference``,
+the one backend switch, selects them together with the dict-LRU box
+walk, a host without a C compiler resolves to them, and
 :func:`sim_backend` names the simulator that setting runs.
 """
 
@@ -63,7 +64,8 @@ def sim_backend() -> str:
     """The parallel-simulator loops in use: ``"reference"`` exactly when
     :func:`~repro.paging.kernel.kernel_backend` is, ``"event"`` otherwise.
 
-    ``REPRO_KERNEL=reference`` selects every oracle at once: the retained
+    ``REPRO_KERNEL=reference`` (or a host where the compiled library
+    cannot be built) selects every oracle at once: the retained
     per-timestep / per-request simulator loops and the dict-LRU box walk.
     Both sides produce byte-identical results (completion times, traces,
     ``sim.*`` counters); the differential harness holds them together.

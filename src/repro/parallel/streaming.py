@@ -2,33 +2,31 @@
 
 This is the ROADMAP's million-request path.  A :class:`StreamingWorkload`
 wraps a :class:`repro.traces.TraceStore` without materializing any request
-column; a processor's requests reach the simulator chunk-by-chunk
-through a :class:`BoxFeed`, which sweeps them into an incremental
-:class:`repro.paging.kernel.StreamKernel` just ahead of the execution
-position and compacts the served prefix behind it each time it appends.
-Resident state per processor is therefore bounded by the largest single
-box budget plus one store chunk — independent of trace length — while
-every box is still evaluated at kernel speed.
+column.  On the native kernel tier a processor's requests reach the
+simulator chunk-by-chunk through a :class:`BoxFeed`, which sweeps them
+into an incremental :class:`repro.paging.kernel.StreamKernel` just ahead
+of the execution position and compacts the served prefix behind it each
+time it appends.  Resident state per processor is therefore bounded by
+the largest single box budget plus one store chunk — independent of
+trace length — while every box is still evaluated at kernel speed.
 
-On the native tier a column the store holds as a single chunk skips the
-feed: a streamed :class:`BoxServer` sweeps all of them at construction
-in one compiled call (``NativeOps.sweep_columns``), straight from the
-store's memory map into one arena of their ``SequenceKernel`` rows.  The
-memory bound per processor is unchanged, since a single-chunk column's
-window held its whole column anyway.  The compiled DET-PAR and RAND-PAR
-loops probe the arena and the feeds' windows in place
-(:meth:`BoxServer.window_rows`) and return to python only when a box
-runs past a multi-chunk column's window (:meth:`BoxServer.refill`,
-which makes that column's feed at its first call and then calls
-:meth:`BoxFeed.ensure`).
+A column the store holds as a single chunk skips the feed: a streamed
+:class:`BoxServer` sweeps all of them at construction in one compiled
+call (``NativeOps.sweep_columns``), straight from the store's memory map
+into one arena of their ``SequenceKernel`` rows.  The memory bound per
+processor is unchanged, since a single-chunk column's window held its
+whole column anyway.  The compiled DET-PAR and RAND-PAR loops probe the
+arena and the feeds' windows in place (:meth:`BoxServer.window_rows`)
+and return to python only when a box runs past a multi-chunk column's
+window (:meth:`BoxServer.refill`, which makes that column's feed at its
+first call and then calls :meth:`BoxFeed.ensure`).
 
 The serving indirection is :func:`make_box_server`: every box algorithm
 (RAND-PAR, DET-PAR, black-box packing) asks the server to run a box for a
 processor and never touches sequences or kernels directly.  A streamed
-workload is served through the arena and the feeds (on the numpy tier,
-one :class:`BoxFeed` per processor); every other column — in memory,
-memory-mapped, or a streamed workload's memory-mapped column under
-``REPRO_KERNEL=reference`` — through the box walk
+workload takes the arena and the feeds exactly when the tier is native;
+every other column — in memory, memory-mapped, or a streamed workload's
+memory-mapped column on the reference tier — is served by the box walk
 :func:`repro.paging.kernel.box_walk` picks for the tier: the cached
 ``SequenceKernel``, or the per-request dict-LRU ``run_box``.
 
@@ -174,12 +172,11 @@ class BoxFeed:
     :meth:`ensure` when a box runs past it.
 
     ``position`` is the processor's execution position: no future box
-    starts before it.  The feed compacts the window up to it whenever it
-    appends a chunk, and only then: an append already costs O(window) on
-    the numpy tier, and the compiled window compacts in O(1).  A box
-    with budget ``d`` needs the window to reach ``d`` rows past the
-    position, so peak retained rows per feed are bounded by ``max box
-    budget + chunk rows``, independent of column length.
+    starts before it.  The feed compacts the window up to it, in O(1),
+    whenever it appends a chunk.  A box with budget ``d`` needs the
+    window to reach ``d`` rows past the position, so peak retained rows
+    per feed are bounded by ``max box budget + chunk rows``, independent
+    of column length.  Native tier only, like its kernel.
     """
 
     __slots__ = ("kernel", "length", "position", "_chunks", "_exhausted", "_covered")
@@ -239,11 +236,9 @@ class BoxServer:
 
     ``serve(proc, pos, height, budget)`` runs one box for one processor
     and returns the :class:`BoxRun`.  Any column that is not streamed,
-    and a streamed one under ``REPRO_KERNEL=reference`` (its
-    memory-mapped column, OS-paged rather than chunk-bounded), is served
-    by the tier's box walk from :func:`~repro.paging.kernel.box_walk`.
-    A streamed workload on the numpy tier is served by one chunk-fed
-    :class:`BoxFeed` per processor.
+    and a streamed one on the reference tier (its memory-mapped column,
+    OS-paged rather than chunk-bounded), is served by the tier's box walk
+    from :func:`~repro.paging.kernel.box_walk`.
 
     On the native tier, a streamed workload's columns that the store
     holds as one chunk are swept at construction, in one compiled call
@@ -267,17 +262,13 @@ class BoxServer:
         self._feeds: Optional[List[Optional[BoxFeed]]] = None
         self._win: Optional[np.ndarray] = None
         self._prev = self._reuse = np.empty(0, dtype=np.int64)  # the arena
-        if self.streaming and self.backend == "event":
+        ops = _active_native()
+        if self.streaming and ops is not None:
             self.lengths: Tuple[int, ...] = tuple(workload.lengths)
             self._workload = workload
-            ops = _active_native()
-            if ops is None:
-                self._feeds = [BoxFeed(workload.chunks(i), n) for i, n in enumerate(self.lengths)]
-                self._walks: List[Optional[Walk]] = [feed.serve for feed in self._feeds]
-            else:
-                self._feeds = [None] * self.p
-                self._walks = [None] * self.p
-                self._sweep_single_chunk_columns(ops, workload)
+            self._feeds = [None] * self.p
+            self._walks: List[Optional[Walk]] = [None] * self.p
+            self._sweep_single_chunk_columns(ops, workload)
             return
         seqs = workload.sequences
         self.lengths = tuple(len(sq) for sq in seqs)
@@ -301,8 +292,8 @@ class BoxServer:
         )
 
     def _walk(self, proc: int) -> Walk:
-        """The native streamed tier's walk over ``proc``'s column, made
-        when a python box loop first reaches it: its arena rows as a
+        """A streamed column's walk, made when a python box loop first
+        reaches it: its arena rows as a
         ``SequenceKernel``, or its :class:`BoxFeed`."""
         at = int(self._at[proc])
         if at < 0:

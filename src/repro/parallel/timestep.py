@@ -9,7 +9,7 @@ from the single shared LRU order, so one thrashing processor can evict
 everyone else's working set — the interference the paper's box model is
 designed to control.
 
-Three loops, one per kernel tier (``$REPRO_KERNEL``), as for the box
+Two loops, one per kernel tier (``$REPRO_KERNEL``), as for the box
 kernels:
 
 * compiled (the default, when the kernel tier resolves to native) —
@@ -23,25 +23,23 @@ kernels:
   :class:`~repro.parallel.streaming.StreamingWorkload` its first store
   chunk, read straight from the store's memory map; the loop hands
   back only for a streamed column's later chunks, one at a time.
-* python event (``REPRO_KERNEL=fast``, a host where the compiled
-  library cannot be built, or keys too wide for int64) — the same loop
-  over :class:`LRUCache`.
-* reference (``REPRO_KERNEL=reference``) — the retained per-timestep
-  full-rescan loop (O(p) per event instant), the historical oracle.  It
-  serves same-time processors in ascending index too, so all three loops
-  touch the shared LRU in the same order and every count — completions,
-  hits, faults, evictions — is byte-identical.  The differential harness
-  asserts exactly this.
+* reference (``REPRO_KERNEL=reference``, a host where the compiled
+  library cannot be built, or keys too wide for int64) — the
+  per-timestep full-rescan loop (O(p) per event instant) over
+  :class:`LRUCache`, the oracle.  It shares no design with the event
+  loop, and serves same-time processors in ascending index too, so both
+  loops touch the shared LRU in the same order and every count —
+  completions, hits, faults, evictions — is byte-identical.  The
+  differential harness asserts exactly this.
 
 Every loop consumes requests strictly in order, one chunk at a time
-(the python loops through :func:`~repro.parallel.streaming.request_feed`),
+(the rescan through :func:`~repro.parallel.streaming.request_feed`),
 so a streamed million-request, thousand-processor run never holds more
 than one chunk per processor.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heapreplace
 from itertools import chain
 from typing import Dict, Iterator, List
 
@@ -52,7 +50,7 @@ from ..paging._native import address
 from ..paging.kernel import _active_native
 from ..paging.lru import LRUCache
 from ..workloads.trace import ParallelWorkload
-from .events import ParallelRunResult, sim_backend
+from .events import ParallelRunResult
 from .streaming import StreamingWorkload, request_feed
 
 __all__ = ["GlobalLRU"]
@@ -99,8 +97,7 @@ class GlobalLRU:
             feeds = [request_feed(workload, i) for i in range(p)]
             done = [n[i] == 0 for i in range(p)]
             cache = LRUCache(self.cache_size)
-            loop = self._run_reference if sim_backend() == "reference" else self._run_event
-            loop(feeds, n, done, completion, cache)
+            self._run_reference(feeds, n, done, completion, cache)
             hits, faults, evictions = cache.hits, cache.faults, cache.evictions
         reg = obs_metrics.active()
         if reg.enabled:
@@ -120,7 +117,7 @@ class GlobalLRU:
         )
 
     def _run_native(self, ops, workload, n: List[int], completion: np.ndarray):
-        """Compiled backend: :meth:`_run_event`'s loop as ``repro_lru_run``
+        """Compiled backend: the event loop ``repro_lru_run``
         (:mod:`repro.paging._native`), with every processor's first chunk
         installed before it starts: a whole in-memory or memmap column, or
         a store's first chunk, read straight from its memory map.  The loop
@@ -167,57 +164,6 @@ class GlobalLRU:
             proc[i, 1:] = address(chunk), len(chunk), 0
         return int(st[5]), int(st[6]), int(st[7])
 
-    def _run_event(
-        self,
-        feeds: List[Iterator[List[int]]],
-        n: List[int],
-        done: List[bool],
-        completion: np.ndarray,
-        cache: LRUCache,
-    ) -> None:
-        """Python event loop (the no-compiler fallback of :meth:`_run_native`):
-        a bare heap of ``(time, proc)`` completions.
-
-        GLOBAL-LRU has one pending completion per active processor and
-        never cancels one, so a heap of ``(time, proc)`` pairs pops
-        exactly the :class:`~repro.parallel.events.EventScheduler` order
-        with the processor as priority: same-time completions in
-        ascending processor order — the order the reference rescan serves
-        them, hence identical shared-LRU state.  Each pair is packed into
-        one int, ``time << shift | proc``, so the heap compares ints, not
-        tuples.  The popped processor keeps serving while its next
-        completion is still the earliest pair, so those requests (every
-        request once a single processor is left) never touch the heap.
-        """
-        shift = len(n).bit_length()
-        hit, miss = 1 << shift, self.miss_cost << shift
-        touch = cache.touch
-        pages = [chain.from_iterable(feed) for feed in feeds]
-        left = list(n)
-        heap = [i for i in range(len(n)) if not done[i]]  # time 0, sorted: a heap
-        if not heap:
-            return
-        key = heappop(heap)
-        while True:
-            i = key & (hit - 1)
-            m = left[i]
-            top = heap[0] if heap else key + miss * m + 1
-            for page in pages[i]:
-                key += hit if touch(page) else miss
-                m -= 1
-                if not m or key > top:
-                    break
-            else:
-                raise _short_feed(i)
-            if m:
-                left[i] = m
-                key = heapreplace(heap, key)
-                continue
-            completion[i] = key >> shift
-            if not heap:
-                return
-            key = heappop(heap)
-
     def _run_reference(
         self,
         feeds: List[Iterator[List[int]]],
@@ -226,8 +172,9 @@ class GlobalLRU:
         completion: np.ndarray,
         cache: LRUCache,
     ) -> None:
-        """Reference backend: the historical O(p)-per-instant rescan loop,
-        retained verbatim as the oracle for the event backend."""
+        """Reference backend, and the no-compiler path: the O(p)-per-instant
+        rescan loop, the oracle for the compiled event loop.  Its ints
+        cannot overflow, so it also takes keys too wide for int64."""
         s = self.miss_cost
         p = len(n)
         pages = [chain.from_iterable(feed) for feed in feeds]

@@ -8,14 +8,15 @@
   stdlib-asyncio HTTP frontend (``repro serve``), plus
   :func:`run_server` with SIGTERM-to-resumable-checkpoint semantics;
 * :mod:`~repro.service.loadgen` — the concurrent load generator and
-  latency/throughput benchmark behind ``BENCH_service.json``.
+  latency/throughput benchmark behind ``BENCH_service.json``, run as
+  ``python -m repro.service.loadgen``.  It is not imported here, so
+  running it as a module executes it once.
 
 Clients speak :mod:`repro.client`: the same typed request/reply
 dataclasses work in-process and over the wire.
 """
 
 from .backend import Job, ServiceBackend, ServiceQuota
-from .loadgen import percentile, run_load
 from .server import ServiceServer, run_server
 
 __all__ = [
@@ -23,7 +24,5 @@ __all__ = [
     "ServiceBackend",
     "ServiceQuota",
     "ServiceServer",
-    "percentile",
-    "run_load",
     "run_server",
 ]

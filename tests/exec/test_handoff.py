@@ -25,7 +25,7 @@ from repro.exec.handoff import (
     execute_prepared,
 )
 from repro.obs import metrics as M
-from repro.paging.kernel import clear_kernel_cache, get_kernel
+from repro.paging.kernel import KERNEL_ENV, clear_kernel_cache, get_kernel, native_flavor
 from repro.traces.store import StoredWorkload
 from repro.workloads import ParallelWorkload, cyclic
 
@@ -43,6 +43,14 @@ def run_unit(wl):
         "parallel-run",
         {"algorithm": "det-par", "workload": wl, "cache_size": 16, "miss_cost": 8, "seed": 0},
     )
+
+
+@pytest.fixture()
+def native_tier(monkeypatch):
+    """Kernel seeds ship only on the compiled tier: pin it, or skip."""
+    if native_flavor() is None:
+        pytest.skip("compiled tier unavailable (no C compiler)")
+    monkeypatch.setenv(KERNEL_ENV, "native")
 
 
 class TestPrepare:
@@ -115,7 +123,7 @@ class TestExecutePrepared:
             assert first is second
             assert np.array_equal(first, seq)
 
-    def test_seed_ships_when_same_seq_feeds_two_units(self):
+    def test_seed_ships_when_same_seq_feeds_two_units(self, native_tier):
         clear_kernel_cache()
         seq = cyclic(DEFAULT_SHM_ROWS, 9)
         units = [green_unit(seq=seq), green_unit(seq=seq)]
@@ -129,7 +137,7 @@ class TestExecutePrepared:
         counters = reg.snapshot()["counters"]
         assert counters["exec.handoff.seeded"] >= 1
 
-    def test_seed_ships_when_parent_kernel_cached(self):
+    def test_seed_ships_when_parent_kernel_cached(self, native_tier):
         clear_kernel_cache()
         seq = cyclic(DEFAULT_SHM_ROWS, 9)
         get_kernel(seq)  # parent already paid the sweep
@@ -145,7 +153,7 @@ class TestExecutePrepared:
             assert isinstance(tasks[0], PreparedTask)
             assert tasks[0].seed is None
 
-    def test_prepared_seed_arrays_match_parent_kernel(self):
+    def test_prepared_seed_arrays_match_parent_kernel(self, native_tier):
         from repro.exec import handoff
 
         clear_kernel_cache()

@@ -1,8 +1,8 @@
 """Belady's MIN on the compiled tier ≡ the python MIN ≡ brute force.
 
 On the native kernel tier :func:`belady_faults` is one ``repro_min_run``
-call (``NativeOps.min_faults``); ``REPRO_KERNEL=fast`` and ``reference``
-run :class:`BeladySimulation`.  The only contract is exactness: every
+call (``NativeOps.min_faults``); the reference tier (``REPRO_KERNEL=reference``,
+or a host without a C compiler) runs :class:`BeladySimulation`.  The only contract is exactness: every
 fault count, and so every lower bound built on it, equals the python
 loop's, and brute-force OPT's on short sequences.  The compiled entry is
 also fed hostile columns — extreme page ids and ids built to share one
@@ -119,31 +119,31 @@ def test_compiled_call_is_taken_on_the_native_tier(monkeypatch):
 
     _spy_on_min_faults(monkeypatch, spy)
     monkeypatch.setattr(BeladySimulation, "run", lambda self, limit=None: pytest.fail("python MIN ran"))
-    assert belady_faults([7, 0, 1, 2, 0, 3, 0, 4, 2, 3, 0, 3, 2, 1, 2, 0, 1, 7, 0, 1], 3) == 9
-    assert calls == [3]
-    wl = _workload()
-    makespan_lower_bound(wl, 4, 5, include_impact=False)
-    mean_completion_lower_bound(wl, 4, 5)
-    assert calls[1:] == [4] * 4  # two non-empty processors per bound
-    BestStaticPartition(4, 5).run(wl)
+    with tier("native"):
+        assert belady_faults([7, 0, 1, 2, 0, 3, 0, 4, 2, 3, 0, 3, 2, 1, 2, 0, 1, 7, 0, 1], 3) == 9
+        assert calls == [3]
+        wl = _workload()
+        makespan_lower_bound(wl, 4, 5, include_impact=False)
+        mean_completion_lower_bound(wl, 4, 5)
+        assert calls[1:] == [4] * 4  # two non-empty processors per bound
+        BestStaticPartition(4, 5).run(wl)
     assert len(calls) > 5
 
 
-@pytest.mark.parametrize("name", ["fast", "reference"])
-def test_numpy_tiers_run_the_python_min(monkeypatch, name):
+def test_reference_tier_runs_the_python_min(monkeypatch):
     if NATIVE is not None:
         _spy_on_min_faults(monkeypatch, lambda seq, capacity: pytest.fail("compiled MIN ran"))
     runs = []
     real = BeladySimulation.run
     monkeypatch.setattr(BeladySimulation, "run", lambda self, limit=None: runs.append(1) or real(self, limit))
-    with tier(name):
+    with tier("reference"):
         assert belady_faults([1, 2, 3, 1, 4, 1], 2) == 4
         makespan_lower_bound(_workload(), 4, 5, include_impact=False)
     assert len(runs) == 3
 
 
 @pytest.mark.parametrize("capacity", [0, -1, -(2**63), -(2**80)])
-@pytest.mark.parametrize("name", ["native", "fast"])
+@pytest.mark.parametrize("name", ["native", "reference"])
 def test_bad_capacity_raises_before_any_call(monkeypatch, name, capacity):
     if NATIVE is not None:
         _spy_on_min_faults(monkeypatch, lambda seq, capacity: pytest.fail("compiled MIN ran"))
@@ -290,7 +290,7 @@ def test_bounds_equal_on_both_tiers(family):
     built = build_candidate(family, get_family(family).default_config("quick"), workload_seed=3)
     wl, k, s = built.workload, built.k, built.miss_cost
     results = {}
-    for name in ("native", "fast"):
+    for name in ("native", "reference"):
         with tier(name):
             with_impact = makespan_lower_bound(wl, k, s)
             without = makespan_lower_bound(wl, k, s, include_impact=False)
@@ -305,4 +305,4 @@ def test_bounds_equal_on_both_tiers(family):
                 np.nan_to_num(fairness_report(partition, wl, k).slowdowns, nan=-1.0).tolist(),
                 [min_service_time(seq, c, s) for seq in wl.sequences for c in (1, k, 4 * k)],
             )
-    assert results["native"] == results["fast"]
+    assert results["native"] == results["reference"]

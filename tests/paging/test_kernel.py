@@ -1,4 +1,4 @@
-"""The fast box kernel must be bit-identical to the reference engine.
+"""The compiled box kernel must be bit-identical to the reference engine.
 
 ``run_box`` is the semantic ground truth: a dict-LRU simulation of one
 cold box.  ``repro.paging.kernel`` replays the same decisions from a
@@ -6,12 +6,10 @@ reuse-distance precompute, so every observable — endpoints, hit/fault
 splits, time used, DP impacts, sim.* metrics — must match *exactly*,
 not approximately.  These tests pin that equivalence property-style
 (hypothesis drives sequences, starts, heights, budgets) and pin the
-operational surface around it: the internal scalar/vectorized paths and
-the chunked reuse build, the ladder plan the offline DP probes, the
-streaming kernel, the kernel cache, and the ``REPRO_KERNEL`` escape
-hatch.  Every test here pins the numpy tier (``REPRO_KERNEL=fast``),
-the no-compiler fallback; ``test_native.py`` holds the compiled default
-to it.
+operational surface around it: the streaming kernel, the kernel cache,
+and the ``REPRO_KERNEL`` switch.  The kernels exist only on the compiled
+tier, so the tests that build one skip where no C compiler is found;
+``test_native.py`` holds the rest of the compiled tier to the reference.
 """
 
 from __future__ import annotations
@@ -38,12 +36,16 @@ from repro.paging.kernel import (
     run_box_fast,
 )
 
+requires_native = pytest.mark.skipif(
+    native_flavor() is None, reason="compiled tier unavailable (no C compiler)"
+)
+
 
 @pytest.fixture(autouse=True)
-def _numpy_tier(monkeypatch):
-    # kernels capture their tier at construction, so the cache is
-    # cleared on both sides of the pin
-    monkeypatch.setenv(KERNEL_ENV, "fast")
+def _default_tier(monkeypatch):
+    # the tier the suite was started with must not leak in: each test
+    # starts from the default and pins what it needs
+    monkeypatch.delenv(KERNEL_ENV, raising=False)
     clear_kernel_cache()
     yield
     clear_kernel_cache()
@@ -56,6 +58,7 @@ def _numpy_tier(monkeypatch):
 sequences = st.lists(st.integers(min_value=0, max_value=12), min_size=0, max_size=160)
 
 
+@requires_native
 @given(
     seq=sequences,
     start_frac=st.floats(min_value=0.0, max_value=1.0),
@@ -73,6 +76,7 @@ def test_run_box_fast_matches_reference(seq, start_frac, height, budget, miss_co
     )
 
 
+@requires_native
 def test_budget_exhaustion_mid_hit_and_mid_miss():
     # [0, 1, 0, 1, ...] with height 2: everything after the first two
     # requests hits.  Budgets chosen to land the cutoff on a hit, on a
@@ -86,69 +90,12 @@ def test_budget_exhaustion_mid_hit_and_mid_miss():
             assert got == want, (budget, height)
 
 
-def test_scalar_walk_defers_to_vectorized_on_long_boxes():
-    # A cyclic sequence inside the height: after the first lap, every
-    # request hits, so a big budget serves far past _SCALAR_MAX and the
-    # scalar walk must hand off mid-box without losing its prefix.
-    n = 4 * kernel_mod._SCALAR_MAX
-    arr = np.asarray([i % 4 for i in range(n)], dtype=np.int64)
-    kern = SequenceKernel(arr)
-    budget = n + 4 * 3  # every request affordable: 4 faults + (n-4) hits
-    got = run_box_fast(kern, 0, 8, budget, 4)
-    want = run_box(arr, 0, 8, budget, 4)
-    assert got == want
-    assert got.served > kernel_mod._SCALAR_MAX
-
-
-def test_reuse_build_vectorized_matches_fenwick(monkeypatch):
-    # The chunked numpy build and the O(n log n) Fenwick sweep are two
-    # implementations of the same precompute; cross-check them across
-    # chunk-boundary lengths.
-    rng = np.random.default_rng(11)
-    for n in (0, 1, 127, 128, 129, 400, 1200):
-        arr = rng.integers(0, 17, size=n)
-        fast = SequenceKernel(arr)
-        monkeypatch.setattr(kernel_mod, "_VEC_BUILD_MAX", 0)
-        fenwick = SequenceKernel(arr)
-        monkeypatch.undo()
-        assert np.array_equal(fast.prev_occ, fenwick.prev_occ)
-        assert np.array_equal(fast.reuse_dist, fenwick.reuse_dist)
-
-
-# --------------------------------------------------------------------- #
-# ladder plan (offline DP's probe path)
-# --------------------------------------------------------------------- #
-
-
-def test_ladder_ends_match_reference_including_block_recompute():
-    rng = np.random.default_rng(5)
-    arr = rng.integers(0, 24, size=500)
-    lattice = HeightLattice(16, 4)
-    heights = tuple(int(h) for h in lattice.heights)
-    s = 3
-    budgets = tuple(s * h for h in heights)
-    kern = SequenceKernel(arr)
-    starts = list(range(0, len(arr) + 1))
-    rng.shuffle(starts)  # non-ascending starts force block recomputes
-    plan = kern.ladder_plan(heights, budgets, s)
-    for q in starts:
-        got = plan.ends(q)
-        want = [run_box(arr, q, h, s * h, s).end for h in heights]
-        assert got == want, q
-
-
-def test_ladder_plan_is_memoized():
-    arr = np.arange(64, dtype=np.int64) % 8
-    kern = SequenceKernel(arr)
-    plan = kern.ladder_plan((2, 4), (6, 12), 3)
-    assert kern.ladder_plan((2, 4), (6, 12), 3) is plan
-
-
 # --------------------------------------------------------------------- #
 # streaming kernel
 # --------------------------------------------------------------------- #
 
 
+@requires_native
 def test_stream_kernel_matches_sequence_kernel_across_chunks():
     rng = np.random.default_rng(3)
     arr = rng.integers(0, 10, size=300)
@@ -160,6 +107,7 @@ def test_stream_kernel_matches_sequence_kernel_across_chunks():
             assert stream.box(start, h, b, 5) == run_box(arr, start, h, b, 5)
 
 
+@requires_native
 def test_stream_kernel_compact_preserves_suffix_boxes():
     rng = np.random.default_rng(9)
     arr = rng.integers(0, 6, size=200)
@@ -178,6 +126,7 @@ def test_stream_kernel_compact_preserves_suffix_boxes():
 # --------------------------------------------------------------------- #
 
 
+@requires_native
 def test_run_box_fast_validates_like_reference():
     arr = np.asarray([0, 1, 2], dtype=np.int64)
     kern = SequenceKernel(arr)
@@ -198,7 +147,7 @@ def test_run_box_fast_validates_like_reference():
         kern.box(-1, 2, 10, 4)
 
 
-@pytest.mark.parametrize("backend", ["fast", "reference"])
+@pytest.mark.parametrize("backend", ["native", "reference"])
 def test_offline_dp_validates_miss_cost_under_both_backends(backend, monkeypatch):
     monkeypatch.setenv(KERNEL_ENV, backend)
     clear_kernel_cache()
@@ -212,6 +161,7 @@ def test_offline_dp_validates_miss_cost_under_both_backends(backend, monkeypatch
 # --------------------------------------------------------------------- #
 
 
+@requires_native
 def test_get_kernel_caches_by_identity_and_by_key():
     clear_kernel_cache()
     arr = np.asarray([0, 1, 0], dtype=np.int64)
@@ -222,6 +172,7 @@ def test_get_kernel_caches_by_identity_and_by_key():
     clear_kernel_cache()
 
 
+@requires_native
 def test_kernel_cache_is_lru_bounded():
     clear_kernel_cache()
     keep = [np.asarray([i], dtype=np.int64) for i in range(kernel_mod._CACHE_MAX_ENTRIES + 8)]
@@ -241,25 +192,38 @@ def test_kernel_cache_is_lru_bounded():
 
 def test_backend_env_switching(monkeypatch):
     arr = np.asarray([0, 1], dtype=np.int64)
-    compiled = "native" if native_flavor() is not None else "fast"
-    monkeypatch.delenv(KERNEL_ENV, raising=False)
-    # unset: the compiled tier whenever it builds, else the numpy fallback
-    assert kernel_backend() == compiled
-    assert isinstance(box_walk(arr), SequenceKernel)
+    compiled = native_flavor() is not None
+    # unset: the compiled tier whenever it builds, else the python loops
+    assert kernel_backend() == ("native" if compiled else "reference")
+    if compiled:
+        assert isinstance(box_walk(arr), SequenceKernel)
+    else:
+        assert box_walk(arr).func is run_box
     for alias in ("native", "compiled", " Native "):
         monkeypatch.setenv(KERNEL_ENV, alias)
-        assert kernel_backend() == compiled
-    for alias in ("fast", "kernel"):
-        monkeypatch.setenv(KERNEL_ENV, alias)
-        assert kernel_backend() == "fast"
+        assert kernel_backend() == ("native" if compiled else "reference")
     for alias in ("reference", "ref", " Reference "):
         monkeypatch.setenv(KERNEL_ENV, alias)
         assert kernel_backend() == "reference"
         assert box_walk(arr).func is run_box
-    monkeypatch.setenv(KERNEL_ENV, "turbo")
-    with pytest.raises(ValueError, match="unknown REPRO_KERNEL backend"):
-        kernel_backend()
+    # `fast` and `kernel` name no tier: rejected like any unknown value
+    for alias in ("turbo", "fast", "kernel"):
+        monkeypatch.setenv(KERNEL_ENV, alias)
+        with pytest.raises(ValueError, match="unknown REPRO_KERNEL backend"):
+            kernel_backend()
     clear_kernel_cache()
+
+
+def test_kernels_refuse_the_reference_tier(monkeypatch):
+    # no caller builds a kernel on the reference tier; one that tried
+    # would run compiled code inside the oracle
+    monkeypatch.setenv(KERNEL_ENV, "reference")
+    with pytest.raises(RuntimeError, match="compiled tier"):
+        SequenceKernel(np.arange(4))
+    with pytest.raises(RuntimeError, match="compiled tier"):
+        StreamKernel()
+    with pytest.raises(RuntimeError, match="compiled tier"):
+        get_kernel(np.arange(4))
 
 
 # --------------------------------------------------------------------- #
@@ -268,26 +232,27 @@ def test_backend_env_switching(monkeypatch):
 
 
 @pytest.mark.slow
+@requires_native
 def test_e1_rows_and_sim_metrics_identical_across_backends(monkeypatch):
     """The kernel swap is invisible to every experiment observable.
 
     Result rows (what the CSVs serialize) and the full stripped metrics
     snapshot — every ``sim.*`` counter included — must be byte-identical
-    between ``REPRO_KERNEL=fast`` and ``REPRO_KERNEL=reference``.
+    between ``REPRO_KERNEL=native`` and ``REPRO_KERNEL=reference``.
     """
     from repro.experiments import run_named_experiment
     from repro.obs import observability
     from repro.obs.metrics import strip_wall
 
     out = {}
-    for backend in ("fast", "reference"):
+    for backend in ("native", "reference"):
         monkeypatch.setenv(KERNEL_ENV, backend)
         clear_kernel_cache()
         with observability(metrics=True) as scope:
             rows, _ = run_named_experiment("e1", scale="quick", seed=0)
             out[backend] = (rows, strip_wall(scope.metrics_snapshot()))
-    assert out["fast"][0] == out["reference"][0], "result rows diverged"
-    assert out["fast"][1] == out["reference"][1], "sim.* metrics diverged"
+    assert out["native"][0] == out["reference"][0], "result rows diverged"
+    assert out["native"][1] == out["reference"][1], "sim.* metrics diverged"
 
 
 # --------------------------------------------------------------------- #

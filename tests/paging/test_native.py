@@ -1,16 +1,16 @@
-"""The native kernel tier must be bit-identical to fast and reference.
+"""The native kernel tier must be bit-identical to the reference.
 
 The native tier (the default: a cc-compiled shared library, else a
-fallback to the numpy fast path) re-implements the three inner loops of
-the paging kernel: the reuse-distance sweep, the per-box service walk,
-and the offline green DP.  Its only contract is *exactness*: every
-observable — box endpoints, hit/fault splits, DP distances and parents —
-must equal the numpy fast path and the dict-LRU reference bit for bit.
-These tests pin that three-way equivalence property-style (random boxes,
-the offline DP on non-power-of-two lattices, streamed chunk appends with
-compaction, the compiled append's columns) plus the operational surface:
-backend selection, the no-compiler fallback (a failed build), and the
-checks on the shared build cache.
+fallback to the python loops of the reference tier) re-implements the
+three inner loops of the paging kernel: the reuse-distance sweep, the
+per-box service walk, and the offline green DP.  Its only contract is
+*exactness*: every observable — box endpoints, hit/fault splits, DP
+distances and parents — must equal the dict-LRU reference bit for bit.
+These tests pin that equivalence property-style (random boxes, the
+offline DP on non-power-of-two lattices, streamed chunk appends with
+compaction, the compiled append's columns against a per-request oracle)
+plus the operational surface: backend selection, the no-compiler
+fallback (a failed build), and the checks on the shared build cache.
 """
 
 from __future__ import annotations
@@ -83,13 +83,13 @@ def _without_compiler(monkeypatch, tmp_path):
 
 
 class TestBackendSelection:
-    def test_native_resolves_to_native_or_fast(self):
+    def test_native_resolves_to_native_or_reference(self):
         with backend("native"):
-            assert kernel_backend() == ("native" if HAVE_NATIVE else "fast")
+            assert kernel_backend() == ("native" if HAVE_NATIVE else "reference")
 
     def test_compiled_alias(self):
         with backend("compiled"):
-            assert kernel_backend() == ("native" if HAVE_NATIVE else "fast")
+            assert kernel_backend() == ("native" if HAVE_NATIVE else "reference")
 
     def test_invalid_backend_rejected(self):
         with backend("turbo"):
@@ -98,7 +98,7 @@ class TestBackendSelection:
 
     @pytest.mark.parametrize(
         "kernel, compiler",
-        [(None, None), ("fast", None), ("native", None), ("reference", None), (None, "false")],
+        [(None, None), ("native", None), ("reference", None), (None, "false")],
     )
     def test_reported_tier_is_the_built_tier(self, monkeypatch, tmp_path, kernel, compiler):
         """``kernel_backend()`` and kernel construction read one default."""
@@ -112,18 +112,21 @@ class TestBackendSelection:
         clear_kernel_cache()
         try:
             arr = np.arange(8, dtype=np.int64) % 3
-            built = {SequenceKernel(arr)._ops is not None, StreamKernel()._ops is not None}
             reported = kernel_backend()
             if reported == "reference":
+                # the python loops run, and no kernel can be built
                 assert box_walk(arr).func is run_box
-                assert built == {False}
+                for build in (lambda: SequenceKernel(arr), StreamKernel):
+                    with pytest.raises(RuntimeError, match="compiled tier"):
+                        build()
             else:
-                assert built == {reported == "native"}
+                assert isinstance(box_walk(arr), SequenceKernel)
+                assert SequenceKernel(arr)._ops is StreamKernel()._ops is native_ops()
             if kernel is None and compiler is None:
                 # unset: compiled whenever the library builds here
-                assert reported == ("native" if native_ops() is not None else "fast")
+                assert reported == ("native" if native_ops() is not None else "reference")
             if compiler is not None:
-                assert reported == "fast"
+                assert reported == "reference"
         finally:
             clear_native_cache()
             clear_kernel_cache()
@@ -133,32 +136,39 @@ class TestBackendSelection:
         with backend("native"):
             kern = SequenceKernel(np.arange(8, dtype=np.int64))
             assert kern._ops is not None
-        with backend("fast"):
-            kern = SequenceKernel(np.arange(8, dtype=np.int64))
-            assert kern._ops is None
+        with backend("reference"):
+            with pytest.raises(RuntimeError, match="compiled tier"):
+                SequenceKernel(np.arange(8, dtype=np.int64))
 
-    def test_native_off_forces_fallback_to_fast(self, monkeypatch, tmp_path):
+    def test_native_off_forces_fallback_to_reference(self, monkeypatch, tmp_path):
         # the native tier is off when the library does not build: the
         # failed-compile branch of the build yields no library and no error
         _without_compiler(monkeypatch, tmp_path)
         try:
             with backend("native"):
                 assert native_flavor() is None
-                assert kernel_backend() == "fast"
-                assert SequenceKernel(np.arange(8, dtype=np.int64))._ops is None
+                assert kernel_backend() == "reference"
+                with pytest.raises(RuntimeError, match="resolves to 'reference'"):
+                    SequenceKernel(np.arange(8, dtype=np.int64))
         finally:
             clear_native_cache()
 
     def test_off_kernel_still_correct(self, monkeypatch, tmp_path):
-        # fallback is not just "doesn't crash": it is the numpy fast path
+        # fallback is not just "doesn't crash": it is the reference
+        # tier's python loops, with the compiled tier's answers
         arr = np.asarray([0, 1, 2, 0, 1, 3] * 10, dtype=np.int64)
+        lattice = HeightLattice(8, 2)
+        with backend("native"):
+            want = optimal_box_profile(arr, lattice, 5)
         _without_compiler(monkeypatch, tmp_path)
         try:
             with backend("native"):
-                kern = SequenceKernel(arr)
-                assert kern._ops is None
-                got = run_box_fast(kern, 0, 3, 40, 5)
-            assert got == run_box(arr, 0, 3, 40, 5)
+                walk = box_walk(arr)
+                assert walk.func is run_box
+                assert walk(0, 3, 40, 5) == run_box(arr, 0, 3, 40, 5)
+                got = optimal_box_profile(arr, lattice, 5)
+            assert (got.impact, list(got.profile)) == (want.impact, list(want.profile))
+            assert got.distances.tolist() == want.distances.tolist()
         finally:
             clear_native_cache()
 
@@ -240,7 +250,7 @@ class TestBuildCache:
         assert ops is not None
         assert not any(path.startswith((str(link), str(real))) for path in loaded)
 
-    def test_no_writable_temp_dir_falls_back_to_numpy(self, probe, tmp_path, monkeypatch):
+    def test_no_writable_temp_dir_falls_back_to_reference(self, probe, tmp_path, monkeypatch):
         cache = tmp_path / "shared"
         cache.mkdir()
         cache.chmod(0o777)
@@ -266,7 +276,7 @@ class TestBuildCache:
 
 
 # --------------------------------------------------------------------- #
-# property: native ≡ fast ≡ reference on random boxes
+# property: native (sequence and stream) ≡ reference on random boxes
 # --------------------------------------------------------------------- #
 
 sequences = st.lists(st.integers(min_value=0, max_value=12), min_size=0, max_size=160)
@@ -282,13 +292,16 @@ sequences = st.lists(st.integers(min_value=0, max_value=12), min_size=0, max_siz
 )
 @settings(max_examples=200, deadline=None)
 def test_native_box_three_way_identical(seq, start_frac, height, budget, miss_cost):
+    # the compiled walk over a sequence's columns and over a stream
+    # window's block, and the dict-LRU reference
     arr = np.asarray(seq, dtype=np.int64)
     start = int(start_frac * len(arr))  # includes start == n
     with backend("native"):
         native_run = run_box_fast(SequenceKernel(arr), start, height, budget, miss_cost)
-    with backend("fast"):
-        fast_run = run_box_fast(SequenceKernel(arr), start, height, budget, miss_cost)
-    assert native_run == fast_run
+        stream = StreamKernel()
+        stream.append(arr)
+        stream_run = run_box_fast(stream, start, height, budget, miss_cost)
+    assert native_run == stream_run
     assert native_run == run_box(arr, start, height, budget, miss_cost)
 
 
@@ -311,35 +324,43 @@ def test_native_box_three_way_identical(seq, start_frac, height, budget, miss_co
 def test_native_stream_kernel_identical_across_chunked_appends(
     seq, chunks, probes, miss_cost
 ):
-    """Streamed appends + boxes + compaction, native vs fast, same answers.
+    """Streamed appends + boxes + compaction against the reference box.
 
-    Both kernels see the same chunk boundaries and the same interleaved
-    box/compact schedule; every box must agree, including boxes evaluated
-    after ``compact`` re-based the window.
+    Boxes interleave with chunk appends and compactions; every box must
+    equal the dict-LRU box over the whole sequence, including boxes
+    evaluated after ``compact`` re-based the window.  A box that runs
+    past the appended rows is cut there: the reference runs over the
+    rows appended so far.
     """
     arr = np.asarray(seq, dtype=np.int64)
+    with backend("native"):
+        sk = StreamKernel()
+        i = 0
+        ci = 0
+        while i < len(arr):
+            step = chunks[ci % len(chunks)]
+            ci += 1
+            sk.append(arr[i : i + step])
+            i += step
+            for frac, height, budget in probes:
+                start = sk.base + int(frac * (sk.end - sk.base))
+                got = sk.box(start, height, budget, miss_cost)
+                assert got == run_box(arr[: sk.end], start, height, budget, miss_cost)
+            # compact behind the median probe position to exercise the
+            # re-based window on the next round
+            mid = sk.base + (sk.end - sk.base) // 2
+            sk.compact(mid)
 
-    def play(backend_name):
-        with backend(backend_name):
-            sk = StreamKernel()
-            runs = []
-            i = 0
-            ci = 0
-            while i < len(arr):
-                step = chunks[ci % len(chunks)]
-                ci += 1
-                sk.append(arr[i : i + step])
-                i += step
-                for frac, height, budget in probes:
-                    start = sk.base + int(frac * (sk.end - sk.base))
-                    runs.append(tuple(sk.box(start, height, budget, miss_cost)))
-                # compact behind the median probe position to exercise the
-                # re-based window on the next round
-                mid = sk.base + (sk.end - sk.base) // 2
-                sk.compact(mid)
-            return runs
 
-    assert play("native") == play("fast")
+COLD = int(np.iinfo(np.int64).max)
+
+
+def oracle_row(pages, q, base):
+    """Row ``q``'s previous occurrence at or after ``base`` (``-1`` when
+    none) and the distinct pages strictly between them (``COLD`` when
+    none), from the requests themselves."""
+    j = next((j for j in range(q - 1, base - 1, -1) if pages[j] == pages[q]), -1)
+    return (j, len(set(pages[j + 1 : q]))) if j >= 0 else (-1, COLD)
 
 
 @requires_native
@@ -355,38 +376,38 @@ def test_native_stream_kernel_identical_across_chunked_appends(
     cuts=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=10),
 )
 @settings(max_examples=150, deadline=None)
-def test_compiled_append_builds_the_numpy_columns(seed, n, pages, chunks, cuts):
-    """``repro_stream_append`` against the numpy window, column by column.
+def test_compiled_append_builds_the_oracle_columns(seed, n, pages, chunks, cuts):
+    """``repro_stream_append`` against a per-request oracle, column by column.
 
     Random chunks with compactions in between, including whole-window
     compactions, page tables that must grow mid-chunk, and moves of the
-    retained rows to the front of the block: after every append, the
-    retained rows' reuse distances are equal, and so are their previous
-    occurrences, where a negative offset (none retained) counts as -1.
+    retained rows to the front of the block: after every append, each
+    retained row's previous occurrence and reuse distance equal
+    :func:`oracle_row`'s at the window base its chunk was appended at;
+    a negative offset (no retained previous occurrence) counts as -1.
     The sequence is drawn from a seed, not as a list, so that examples
     run long enough to grow and move the block.
     """
     arr = np.random.default_rng(seed).integers(0, pages, size=n).astype(np.int64)
-
-    def play(backend_name):
-        with backend(backend_name):
-            sk = StreamKernel()
-            columns = []
-            i = 0
-            for step, cut in zip(itertools.cycle(chunks), itertools.cycle(cuts)):
-                if i >= len(arr):
-                    break
-                sk.append(arr[i : i + step])
-                i += step
-                columns.append((sk.base, np.maximum(sk.prev_occ, -1).tolist(), sk.reuse_dist.tolist()))
-                sk.compact(sk.base + int(cut * len(sk)))
-            return columns
-
-    assert play("native") == play("fast")
+    pages_l = arr.tolist()
+    want = []  # (global prev or -1, reuse) per appended row
+    with backend("native"):
+        sk = StreamKernel()
+        i = 0
+        for step, cut in zip(itertools.cycle(chunks), itertools.cycle(cuts)):
+            if i >= len(arr):
+                break
+            sk.append(arr[i : i + step])
+            want += [oracle_row(pages_l, q, sk.base) for q in range(i, min(i + step, n))]
+            i += step
+            rows = want[sk.base : sk.end]
+            assert np.maximum(sk.prev_occ, -1).tolist() == [j - sk.base if j >= sk.base else -1 for j, _ in rows]
+            assert sk.reuse_dist.tolist() == [r for _, r in rows]
+            sk.compact(sk.base + int(cut * len(sk)))
 
 
 # --------------------------------------------------------------------- #
-# property: ladders + offline DP on non-power-of-two lattices
+# property: offline DP on non-power-of-two lattices
 # --------------------------------------------------------------------- #
 
 
@@ -399,9 +420,9 @@ def test_compiled_append_builds_the_numpy_columns(seed, n, pages, chunks, cuts):
     n=st.integers(min_value=10, max_value=220),
 )
 @settings(max_examples=60, deadline=None)
-def test_native_offline_dp_three_way_identical(seed, k, p_frac, s, n):
-    """The whole DP pipeline is bit-identical: the compiled relaxation,
-    the numpy tier's ladder plans and the reference probes.
+def test_native_offline_dp_matches_reference(seed, k, p_frac, s, n):
+    """The whole DP pipeline is bit-identical: the compiled relaxation
+    and the reference probes.
 
     ``optimal_box_profile`` exercises the native reuse sweep and DP
     relaxation at once; k and p are *not* restricted to powers of two.
@@ -416,6 +437,4 @@ def test_native_offline_dp_three_way_identical(seed, k, p_frac, s, n):
             res = optimal_box_profile(seq, lattice, s)
             return res.impact, tuple(res.profile), res.distances.tolist()
 
-    native = solve("native")
-    assert native == solve("fast")
-    assert native == solve("reference")
+    assert solve("native") == solve("reference")

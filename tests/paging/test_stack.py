@@ -10,14 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.paging.kernel as kernel_mod
 from repro.paging import Fenwick, LRUCache, lru_faults_all_sizes, miss_ratio_curve, stack_distances
 from repro.paging.kernel import KERNEL_ENV, native_flavor
 
 #: Every reuse-distance sweep ``stack_distances`` can take: the compiled
-#: one (where the cc tier builds), the numpy vectorized build, and the
-#: python Fenwick sweep the numpy tier uses past ``_VEC_BUILD_MAX``.
-SWEEPS = (("compiled",) if native_flavor() is not None else ()) + ("vectorized", "fenwick")
+#: one (where the cc tier builds), and the python Fenwick sweep of the
+#: reference tier.
+SWEEPS = (("compiled",) if native_flavor() is not None else ()) + ("reference",)
 
 
 @contextmanager
@@ -25,14 +24,10 @@ def sweep(name):
     """Route ``stack_distances`` through one sweep (a context manager, not
     monkeypatch, so hypothesis examples can switch per call)."""
     saved_env = os.environ.get(KERNEL_ENV)
-    saved_max = kernel_mod._VEC_BUILD_MAX
-    os.environ[KERNEL_ENV] = "native" if name == "compiled" else "fast"
-    if name == "fenwick":
-        kernel_mod._VEC_BUILD_MAX = 0
+    os.environ[KERNEL_ENV] = "native" if name == "compiled" else "reference"
     try:
         yield
     finally:
-        kernel_mod._VEC_BUILD_MAX = saved_max
         if saved_env is None:
             os.environ.pop(KERNEL_ENV, None)
         else:
@@ -127,11 +122,13 @@ class TestMissRatioCurve:
     @given(st.lists(st.integers(min_value=0, max_value=7), max_size=120), st.integers(1, 10))
     @settings(max_examples=150)
     def test_matches_direct_lru_simulation(self, seq, capacity):
-        curve = miss_ratio_curve(seq, max_capacity=capacity)
         lru = LRUCache(capacity)
         for page in seq:
             lru.touch(page)
-        assert curve.fault_count(capacity) == lru.faults
+        for name in SWEEPS:
+            with sweep(name):
+                curve = miss_ratio_curve(seq, max_capacity=capacity)
+            assert curve.fault_count(capacity) == lru.faults, name
 
     @given(st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=100))
     @settings(max_examples=75)
@@ -149,9 +146,11 @@ class TestMissRatioCurve:
 
     def test_all_sizes_helper(self):
         seq = [0, 1, 0, 2, 0, 1]
-        counts = lru_faults_all_sizes(seq, [1, 2, 3])
-        for c, expected in counts.items():
-            lru = LRUCache(c)
-            for page in seq:
-                lru.touch(page)
-            assert expected == lru.faults
+        for name in SWEEPS:
+            with sweep(name):
+                counts = lru_faults_all_sizes(seq, [1, 2, 3])
+            for c, expected in counts.items():
+                lru = LRUCache(c)
+                for page in seq:
+                    lru.touch(page)
+                assert expected == lru.faults, name

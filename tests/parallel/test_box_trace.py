@@ -335,7 +335,7 @@ def test_a_replaced_trace_is_converted_once():
 @pytest.mark.parametrize("algorithm", ["det-par", "rand-par"])
 def test_run_and_summarize_of_a_compiled_loop_build_no_record(monkeypatch, tmp_path, algorithm):
     wl = make_parallel_workload(p=8, n_requests=600, k=32, rng=np.random.default_rng(2))
-    with loop("python"):
+    with loop("reference"):
         want = DetPar(64, 8).run(wl) if algorithm == "det-par" else RandPar(64, 8, np.random.default_rng(1)).run(wl)
         want_summary = summarize(want)
 

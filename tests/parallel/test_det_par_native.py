@@ -1,13 +1,13 @@
-"""DET-PAR's compiled loop ≡ its python loop ≡ the reference, byte for byte.
+"""DET-PAR's compiled loop ≡ its python loop on the reference tier, byte for byte.
 
 On the native kernel tier :meth:`DetPar.run` runs the whole schedule as
-``repro_detpar_run``; ``REPRO_KERNEL=fast`` keeps the python event loop
-(the no-compiler path), and ``REPRO_KERNEL=reference`` runs that loop
-and serves every box by the per-request dict-LRU walk.  Every run must agree on completion
-times, the full box trace and ``meta`` (phases, rebuild times, reserved
-peak), in memory and streamed at any chunk size, and must fail with the
-same error where the python loop fails (the harness in
-:mod:`.native_loops`, shared with RAND-PAR).
+``repro_detpar_run``; ``REPRO_KERNEL=reference`` (and a host without a
+C compiler) runs the python event loop and serves every box by the
+per-request dict-LRU walk.  Both runs must agree on completion times,
+the full box trace and ``meta`` (phases, rebuild times, reserved peak),
+in memory and streamed at any chunk size, and must fail with the same
+error where the python loop fails (the harness in :mod:`.native_loops`,
+shared with RAND-PAR).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from repro.workloads import ParallelWorkload, cyclic, make_parallel_workload
 
 from .native_loops import (
     HAVE_NATIVE,
-    STREAMED,
     assert_all_loops_agree,
     assert_same,
     det_par,
@@ -64,8 +63,7 @@ def test_loops_agree_in_memory(seed, p, extra, s, kind, n):
     # cache sizes and processor counts are mostly not powers of two
     k = p + extra
     wl = make_parallel_workload(p=p, n_requests=n, k=max(k, 1), rng=np.random.default_rng(seed), kind=kind)
-    want = observe("python", det_par(k, s), wl)
-    assert_same(observe("reference", det_par(k, s), wl), want)
+    want = observe("reference", det_par(k, s), wl)
     if HAVE_NATIVE:
         assert_same(observe("compiled", det_par(k, s), wl), want)
 
@@ -107,7 +105,7 @@ def test_processor_finishing_inside_a_preempted_segment(tmp_path, monkeypatch):
 
     monkeypatch.setattr(EventScheduler, "pop", logged_pop)
     monkeypatch.setattr(BoxServer, "serve", logged_serve)
-    observe("python", det_par(8, 2), wl)
+    observe("reference", det_par(8, 2), wl)
     monkeypatch.undo()
     assert any(a == "slot" and b == ("finished", 0) for a, b in zip(log, log[1:]))
     assert_all_loops_agree(det_par(8, 2), wl, tmp_path, chunks=(1, 4096))
@@ -119,11 +117,13 @@ def test_plan_that_does_not_fit_raises_the_same_error(tmp_path):
     assert err == ("ValueError", "cache_size=4 too small for 8 active processors")
 
 
+@requires_native
 def test_short_store_raises_like_global_lru(tmp_path):
+    # only the compiled tier feeds a streamed box schedule chunk by chunk;
+    # the reference tier reads the memory-mapped columns
     wl = make_parallel_workload(p=3, n_requests=60, k=16, rng=np.random.default_rng(2))
     sw = streamed(wl, tmp_path, 8)
     full = sw.chunks
     sw.chunks = lambda proc: itertools.islice(full(proc), 2)  # ends at row 16 of 60
-    for name in STREAMED:
-        with loop(name), pytest.raises(ValueError, match="declared length"):
-            DetPar(16, 2).run(sw)
+    with loop("compiled"), pytest.raises(ValueError, match="declared length"):
+        DetPar(16, 2).run(sw)

@@ -6,10 +6,11 @@ store holds as one chunk in one compiled call
 store's memory map, and the compiled loops probe those rows in place; a
 column of two or more chunks keeps its :class:`BoxFeed`.  GLOBAL-LRU
 installs every processor's first chunk from the memory map before its
-loop starts.  These tests hold the entry to each column's numpy-tier
-``SequenceKernel`` on hostile columns and arguments, and every runner,
-streamed from stores that mix single-chunk and multi-chunk columns, to
-its in-memory run through the shared harness (:mod:`.native_loops`).
+loop starts.  These tests hold the entry to a naive per-request
+oracle of each column's rows (:func:`oracle_rows`) on hostile columns
+and arguments, and every runner, streamed from stores that mix
+single-chunk and multi-chunk columns, to its in-memory run through the
+shared harness (:mod:`.native_loops`).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from hypothesis import strategies as st
 
 from repro.core import DetPar, RandPar
 from repro.paging._native import native_ops
-from repro.paging.kernel import SequenceKernel
 from repro.parallel.streaming import BoxServer
 from repro.parallel.timestep import GlobalLRU
 from repro.traces.store import TraceStore
@@ -41,11 +41,16 @@ from .native_loops import (
 I64 = np.iinfo(np.int64)
 
 
-def numpy_rows(column):
-    """The numpy tier's ``SequenceKernel`` rows of one column."""
-    with loop("python"):
-        kernel = SequenceKernel(np.asarray(column, dtype=np.int64))
-    return kernel.prev_occ.tolist(), kernel.reuse_dist.tolist()
+def oracle_rows(column):
+    """A column's ``SequenceKernel`` rows, request by request: each row's
+    previous occurrence (``-1`` when none) and the distinct pages strictly
+    between the two (``I64.max`` when none)."""
+    prev, reuse = [], []
+    for q, page in enumerate(column):
+        j = next((j for j in range(q - 1, -1, -1) if column[j] == page), -1)
+        prev.append(j)
+        reuse.append(len(set(column[j + 1 : q])) if j >= 0 else I64.max)
+    return prev, reuse
 
 
 # --------------------------------------------------------------------- #
@@ -79,7 +84,7 @@ def test_entry_rows_equal_each_columns_kernel(payload, cuts):
     assert len(prev) == len(reuse) == sum(rows)
     at = 0
     for a, b in spans:
-        assert (prev[at : at + b - a].tolist(), reuse[at : at + b - a].tolist()) == numpy_rows(payload[a:b])
+        assert (prev[at : at + b - a].tolist(), reuse[at : at + b - a].tolist()) == oracle_rows(payload[a:b])
         at += b - a
 
 
@@ -106,7 +111,7 @@ def test_entry_rejects_columns_outside_the_payload(starts, rows):
 def test_entry_takes_any_int_payload():
     ops = native_ops()
     col = [5, 3, 5, 5, 9, 3]
-    want = numpy_rows(col)
+    want = oracle_rows(col)
     ro = np.asarray(col, dtype=np.int64)
     ro.setflags(write=False)
     for payload in (col, np.asarray(col, dtype=np.int32), ro, np.repeat(np.asarray(col, dtype=np.int64), 2)[::2]):
@@ -161,7 +166,7 @@ def test_arena_rows_equal_each_columns_kernel(tmp_path_factory, case):
             continue
         at = int(server._at[i])
         rows = (server._prev[at : at + len(col)].tolist(), server._reuse[at : at + len(col)].tolist())
-        assert rows == numpy_rows(col)
+        assert rows == oracle_rows(col)
         assert win[i].tolist()[2:] == [0, len(col)]
         assert win[i, 0] - win[single[0], 0] == win[i, 1] - win[single[0], 1] == 8 * at
     assert server.resident_rows() == sum(len(cols[i]) for i in single)
@@ -257,13 +262,6 @@ def test_global_lru_installs_every_first_chunk_up_front(tmp_path, monkeypatch):
     with loop("compiled"):
         got = GlobalLRU(24, 4).run(sw)
     assert sorted(reads) == [(i, 1) for i, n in enumerate(wl.lengths) if n > 64]
-    with loop("python"):
+    with loop("reference"):
         want = GlobalLRU(24, 4).run(wl)
     assert got.completion_times.tolist() == want.completion_times.tolist() and got.meta == want.meta
-
-
-def test_numpy_tier_keeps_a_feed_per_processor(tmp_path):
-    sw = streamed(skewed(), tmp_path, 64)
-    with loop("python"):
-        server = BoxServer(sw, 4)
-    assert all(feed is not None for feed in server._feeds) and len(server._prev) == 0

@@ -23,6 +23,7 @@ from repro.exec import (
     WorkUnit,
     inject_faults,
 )
+from repro.paging.kernel import kernel_backend
 from repro.parallel.events import sim_backend
 from repro.parallel.streaming import open_streaming
 from repro.traces.store import write_store
@@ -35,6 +36,10 @@ def strip_noise(text):
     return [l for l in text.splitlines() if not l.startswith("[telemetry]") and " rows in " not in l]
 
 
+@pytest.mark.skipif(
+    kernel_backend() != "native",
+    reason="every run here takes the reference loops (no C compiler, or REPRO_KERNEL=reference)",
+)
 def test_chaos_runs_exercise_the_event_backend():
     # the guard that gives this module meaning: unless a test opts into
     # REPRO_KERNEL=reference, every fault below lands on the event

@@ -11,6 +11,7 @@ import repro.parallel.streaming as streaming_mod
 from repro.exec.cache import workload_fingerprint
 from repro.obs import metrics as obs_metrics
 from repro.paging.engine import run_box
+from repro.paging.kernel import KERNEL_ENV, native_flavor
 from repro.parallel.streaming import (
     BoxFeed,
     BoxServer,
@@ -79,6 +80,15 @@ class TestStreamingWorkload:
             np.testing.assert_array_equal(np.asarray(a), b)
 
 
+@pytest.fixture()
+def native_tier(monkeypatch):
+    """A feed's kernel exists only on the compiled tier: pin it, or skip."""
+    if native_flavor() is None:
+        pytest.skip("compiled tier unavailable (no C compiler)")
+    monkeypatch.setenv(KERNEL_ENV, "native")
+
+
+@pytest.mark.usefixtures("native_tier")
 class TestBoxFeed:
     def test_serves_boxes_identical_to_run_box(self, stored):
         wl, store = stored
@@ -142,7 +152,8 @@ class TestBoxServer:
     def test_strategy_matrix(self, stored, monkeypatch):
         wl, store = stored
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        assert make_box_server(wl, 4).backend == "event"
+        # unset: the event loops wherever the compiled tier builds
+        assert make_box_server(wl, 4).backend == ("event" if native_flavor() else "reference")
         assert make_box_server(wl, 4).streaming is False
         sw = open_streaming(store)
         assert make_box_server(sw, 4).streaming is True

@@ -1,9 +1,9 @@
 """Unit tests for the GLOBAL-LRU time-stepped shared-cache simulator.
 
-GLOBAL-LRU has three loops (see :mod:`repro.parallel.timestep`): the
-compiled event loop (the default), the python event loop (the
-no-compiler fallback) and the reference rescan (the oracle).  The
-differential tests pin all three to each other.
+GLOBAL-LRU has two loops (see :mod:`repro.parallel.timestep`): the
+compiled event loop (the default) and the python rescan (the reference
+tier, the no-compiler fallback and the oracle).  The differential tests
+pin them to each other.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from repro.workloads.trace import ParallelWorkload
 
 HAVE_NATIVE = native_flavor() is not None
 #: GlobalLRU's loops; the compiled one runs only where the cc tier builds.
-LOOPS = ("compiled", "event", "reference") if HAVE_NATIVE else ("event", "reference")
+LOOPS = ("compiled", "reference") if HAVE_NATIVE else ("reference",)
 requires_native = pytest.mark.skipif(
     not HAVE_NATIVE, reason="compiled tier unavailable (no C compiler)"
 )
@@ -33,11 +33,7 @@ requires_native = pytest.mark.skipif(
 
 def _pin_loop(mp, loop):
     """Select one of GlobalLRU's loops through the program's own switch."""
-    tier = {"event": "fast", "reference": "reference"}.get(loop)
-    if tier is None:
-        mp.delenv("REPRO_KERNEL", raising=False)
-    else:
-        mp.setenv("REPRO_KERNEL", tier)
+    mp.setenv("REPRO_KERNEL", "native" if loop == "compiled" else "reference")
 
 
 def wl(*seqs, allow_shared=False):
@@ -283,7 +279,7 @@ def test_zero_length_columns(monkeypatch):
     assert meta == {"hits": 0, "faults": 0}
 
 
-@pytest.mark.parametrize("loop", ["compiled", "event", "reference"])
+@pytest.mark.parametrize("loop", ["compiled", "reference"])
 def test_feed_shorter_than_declared_length_raises(monkeypatch, loop):
     # every loop must fail loudly, not requeue a processor with no
     # requests left or leak a bare StopIteration
@@ -364,15 +360,6 @@ def test_default_tier_never_touches_the_python_lru(monkeypatch):
     monkeypatch.delenv("REPRO_KERNEL", raising=False)
     monkeypatch.setattr(LRUCache, "touch", refuse)
     assert GlobalLRU(cache_size=2, miss_cost=3).run(workload).meta == {"hits": 2, "faults": 5}
-
-
-def test_numpy_fallback_runs_the_python_loop(monkeypatch):
-    calls = []
-    touch = LRUCache.touch
-    monkeypatch.setattr(LRUCache, "touch", lambda self, page: calls.append(page) or touch(self, page))
-    monkeypatch.setenv("REPRO_KERNEL", "fast")
-    GlobalLRU(cache_size=2, miss_cost=3).run(wl([1, 2, 3, 1], [2, 9, 9], allow_shared=True))
-    assert sorted(calls) == [1, 1, 2, 2, 3, 9, 9]
 
 
 def test_concurrent_runs_match_serial_runs():

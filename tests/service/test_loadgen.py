@@ -1,8 +1,14 @@
 """Load generator: percentile math, scenario shapes, a real measured run."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.client.protocol import ExperimentRequest, RunRequest, WorkloadSpec
 from repro.service import loadgen
@@ -98,3 +104,18 @@ class TestMainEntry:
 
     def test_unreachable_server_is_a_clean_failure(self):
         assert loadgen.main(["--url", "http://127.0.0.1:9", "--timeout", "0.5"]) == 2
+
+    def test_module_runs_once_as_a_script(self):
+        # the package must not import the module it runs, or runpy warns
+        # that it is already in sys.modules and executes it a second time
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.service.loadgen", "--help"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert "usage" in proc.stdout

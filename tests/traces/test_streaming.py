@@ -3,6 +3,8 @@ bit-identical to the in-memory paths."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,8 +32,9 @@ def split_random(seq, rng):
 class TestExecuteProfileStreaming:
     @pytest.mark.parametrize("trial", range(20))
     def test_random_equivalence(self, trial, monkeypatch):
-        # on every tier: under REPRO_KERNEL=reference the in-memory run is
-        # the dict-LRU, so this holds the (numpy) stream kernel to it
+        # on both tiers: the compiled stream kernel against the compiled
+        # box walk, and the reference window of raw requests against the
+        # dict-LRU over the whole sequence
         rng = np.random.default_rng(1000 + trial)
         seq = rng.integers(0, rng.integers(4, 80), size=rng.integers(0, 3000))
         heights = rng.integers(1, 40, size=200).tolist()
@@ -39,7 +42,7 @@ class TestExecuteProfileStreaming:
         start = int(rng.integers(0, max(len(seq), 1)))
         max_boxes = int(rng.integers(1, 60)) if rng.random() < 0.5 else None
         chunks = split_random(seq, rng)
-        for tier in ("native", "fast", "reference"):
+        for tier in ("native", "reference"):
             monkeypatch.setenv(KERNEL_ENV, tier)
             clear_kernel_cache()
             ref = execute_profile(seq, heights, mc, start=start, max_boxes=max_boxes)
@@ -63,6 +66,46 @@ class TestExecuteProfileStreaming:
     def test_rejects_2d_chunks(self):
         with pytest.raises(ValueError, match="1-D"):
             execute_profile_streaming([np.zeros((2, 2), dtype=np.int64)], [4], 3)
+
+    def test_starts_outside_the_sequence_match_in_memory(self, monkeypatch):
+        # before the first request (the same ValueError), at and past the
+        # end, with and without a box limit, on both tiers
+        seq = np.arange(100) % 13
+        chunks = [seq[:7], seq[7:7], seq[7:60], seq[60:]]
+
+        def run(fn, data, start, max_boxes):
+            try:
+                return fn(data, [4, 2, 8] * 30, 3, start=start, max_boxes=max_boxes)
+            except ValueError as exc:
+                return str(exc)
+
+        for tier in ("native", "reference"):
+            monkeypatch.setenv(KERNEL_ENV, tier)
+            clear_kernel_cache()
+            for start in (-3, 99, 100, 150):
+                for max_boxes in (None, 0, 2):
+                    want = run(execute_profile, seq, start, max_boxes)
+                    assert run(execute_profile_streaming, chunks, start, max_boxes) == want, (tier, start)
+        clear_kernel_cache()
+
+    def test_reference_tier_peak_is_bounded(self, tmp_path, monkeypatch):
+        # the no-compiler path keeps a box window plus a chunk, like the
+        # compiled one: a quarter of the column's bytes at most, at the
+        # shape of benchmarks/bench_traces.py
+        monkeypatch.setenv(KERNEL_ENV, "reference")
+        chunk_rows, n_rows, miss_cost = 8192, 24 * 8192, 8
+        seq = np.random.default_rng(99).integers(0, 4096, size=n_rows)
+        store = write_store(tmp_path / "big.trc", ParallelWorkload(sequences=[seq], name="big"), chunk_rows=chunk_rows)
+        heights = [256, 512, 1024] * 1_000
+        ref = execute_profile(np.array(store.column(0)), heights, miss_cost)
+        tracemalloc.start()
+        try:
+            run = execute_store_profile(store, 0, heights, miss_cost)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert run == ref
+        assert peak < n_rows * 8 / 4, f"streaming peak {peak} B against a column of {n_rows * 8} B"
 
 
 class TestStoreStreaming:

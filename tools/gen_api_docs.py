@@ -174,29 +174,26 @@ ever requiring a whole trace in memory:
 ## Fast box kernel
 
 `repro.paging.kernel` is the box engine: a per-sequence reuse-distance
-precompute plus vectorized box evaluation that is **bit-identical** to
-the reference dict-LRU loop in `repro.paging.engine.run_box` at a
-fraction of the cost (≥5× on `repro run e1 --scale quick` and on the
+precompute plus a compiled box walk that is **bit-identical** to the
+reference dict-LRU loop in `repro.paging.engine.run_box` at a fraction
+of the cost (~18× on `repro run e1 --scale quick` and far more on the
 offline green DP; `benchmarks/bench_kernel.py` measures and enforces it
-in CI).  Its numpy form is the `fast` tier, the no-compiler fallback;
-the compiled `native` tier below is the default:
+in CI).  The kernels exist only on the compiled `native` tier, the
+default; the reference tier's python loops are the no-compiler path
+and the oracle:
 
 - **Precompute once, probe cheaply.** `SequenceKernel(seq)` computes
   `prev_occ[i]` (previous occurrence of the same page) and
-  `reuse_dist[i]` (distinct pages since then) — a chunked vectorized
-  pass for typical lengths, an O(n log n) Fenwick sweep beyond it.  By
-  LRU's inclusion property, request `i` hits in a cold box
-  `(start, height)` iff `prev_occ[i] >= start` and
+  `reuse_dist[i]` (distinct pages since then) in one O(n log n)
+  compiled Fenwick sweep.  By LRU's inclusion property, request `i`
+  hits in a cold box `(start, height)` iff `prev_occ[i] >= start` and
   `reuse_dist[i] < height`, so `run_box_fast(kernel, start, height,
-  budget, miss_cost)` evaluates a whole box with a handful of array
-  ops (short boxes take a scalar walk — RAND-GREEN draws mostly tiny
-  boxes).  `SequenceKernel` and `StreamKernel` share that one walk and
-  differ only in the window base.  On the numpy tier `ladder_plan`
-  batches the offline DP's probes: one blocked windowed pass yields
-  every lattice height's endpoint for 32 consecutive starts at once.
-  `repro.paging.stack.stack_distances` reads its distances off the
-  same precompute, so the kernel's sweep is the package's only
-  reuse-distance sweep.
+  budget, miss_cost)` evaluates a whole box as one compiled walk over
+  those columns.  `SequenceKernel` and `StreamKernel` share that one
+  walk and differ only in the window base; both refuse to build on the
+  reference tier.  `repro.paging.stack.stack_distances` reads its
+  distances off the same precompute on the native tier, and runs the
+  same deletion-form Fenwick sweep in python on the reference tier.
 - **Shared and bounded.** `get_kernel(seq)` serves kernels from an
   LRU-bounded cache keyed on array identity
   (weakref-guarded) or an explicit key (trace `content_digest` +
@@ -207,32 +204,34 @@ the compiled `native` tier below is the default:
   dropping what only appends need once the stream has ended.
 - **One module picks the walk.** `box_walk(seq)` returns the tier's
   box walk, `walk(start, height, budget, miss_cost)`: the cached
-  kernel, which is callable as `run_box_fast` over itself, or under
-  `REPRO_KERNEL=reference` the dict-LRU `run_box`, retained as the
-  cross-check oracle.  `ladder_ends` does the same for the offline
-  DP's endpoints.  Every box call site runs the walk it gets, without
-  a branch of its own; `tests/paging/test_kernel.py` pins
-  bit-identical `BoxRun`s, DP impacts, result rows, and `sim.*` metrics
-  between the backends.
+  kernel, which is callable as `run_box_fast` over itself, or on the
+  reference tier the dict-LRU `run_box`, retained as the cross-check
+  oracle and the no-compiler path.  Every box call site runs the walk
+  it gets, without a branch of its own; `tests/paging/test_kernel.py`
+  pins bit-identical `BoxRun`s, DP impacts, result rows, and `sim.*`
+  metrics between the backends, and `tests/paging/test_kernel_hostile.py`
+  holds the compiled walk to `run_box` on hostile arguments (budgets
+  near `2**63 - 1`, miss costs up to it, heights far above the window).
 
 ## Native kernel
 
 The `native` kernel tier compiles seven inner loops — the
 reuse-distance sweep, the per-box service walk, the offline DP
 relaxation, GLOBAL-LRU's shared-cache event loop, DET-PAR's event
-loop, RAND-PAR's chunk schedule and Belady's MIN — to machine code, keeping the numpy fast path
-(for the event loops and MIN, the python loops) and the dict-LRU
-reference as bit-identical oracles below it:
+loop, RAND-PAR's chunk schedule and Belady's MIN — to machine code,
+keeping the reference tier's python loops (dict-LRU boxes, the
+GLOBAL-LRU rescan, the python DET-PAR, RAND-PAR and MIN loops) as
+bit-identical oracles below it:
 
 - **The default, with one fallback.** With `$REPRO_KERNEL` unset,
   `kernel_backend()` resolves to `native` whenever
   `repro.paging._native` can build its small C shared library with the
-  system compiler (`cc`, or `$CC`), and to `fast` (numpy) when it
-  cannot.  `kernel_backend()` and kernel construction read the same
+  system compiler (`cc`, or `$CC`), and to `reference` when it cannot.
+  `kernel_backend()` and every caller's choice of path read the same
   default, so the tier reported is the tier that runs.  Whether the
   library builds is observed, not configured (`native_flavor()` reports
-  `"cc"` or `None`): `REPRO_KERNEL=fast` pins the numpy tier, and
-  `REPRO_KERNEL=reference` the dict-LRU oracle.
+  `"cc"` or `None`): `REPRO_KERNEL=reference` pins the python loops.
+  Any other value raises `ValueError`.
 - **Build cache.** The library is built once per user and cached under
   `$REPRO_NATIVE_CACHE` (default `$TMPDIR/repro-native-<uid>`, created
   with mode 0700) as `repro_kernel_<sha256 of the C source>.so`.  The
@@ -280,33 +279,33 @@ reference as bit-identical oracles below it:
   tier: a backward pass over an open-addressing page table finds each
   request's next use, and a forward pass keeps the resident pages in a
   max-heap keyed by next use (O(n log n), O(n) scratch words per call).
-  `REPRO_KERNEL=fast`, `reference` and a failed build run the python
+  `REPRO_KERNEL=reference` and a failed build run the python
   `BeladySimulation`, which stays the step-through API and the oracle.
 - **Exactness is the only contract.** Box endpoints, hit/fault splits,
   DP distances and parents (including tie-breaks),
   GLOBAL-LRU completion times, hits, faults and evictions,
   DET-PAR completions, box traces and phases, and MIN fault counts
-  must equal the fast and reference tiers bit for bit;
-  `tests/paging/test_native.py` pins the three-way equivalence
-  property-style on random boxes, streamed chunked appends with
-  compaction (column by column against the numpy window), and the
-  offline DP on non-power-of-two `(k, p)` lattices;
+  must equal the reference tier bit for bit;
+  `tests/paging/test_native.py` pins the equivalence property-style on
+  random boxes, streamed chunked appends with compaction (column by
+  column against a per-request oracle), and the offline DP on
+  non-power-of-two `(k, p)` lattices;
   `tests/parallel/test_timestep.py` holds the compiled GLOBAL-LRU
-  loop to the python loop and the rescan on drawn workloads, streamed
-  in chunks as small as one row, and
+  loop to the rescan on drawn workloads, streamed in chunks as small
+  as one row, and
   `tests/parallel/test_det_par_native.py` does the same for DET-PAR,
   and `tests/paging/test_belady_native.py` holds the compiled MIN to
   the python MIN and to brute force, on hostile columns and from two
   threads at once.
   A CI job runs the kernel, simulator, green and core suites against a
   build with AddressSanitizer and UBSan.
-  `benchmarks/bench_kernel.py` times all three tiers on the same arms
-  and fails if the compiled tier loses to numpy (`BENCH_kernel.json`
-  records the measured ratios; the DP arm runs ~34× faster under the
-  native tier on the reference machine).  CI fails unless the tier
-  resolves to `native` on its image, and runs the whole tier-1 suite a
-  second time with `CC=false` and an empty build cache — a host with no
-  compiler — to keep the fallback covered.
+  `benchmarks/bench_kernel.py` times both tiers on the same arms and
+  fails if the compiled tier loses to the reference (`BENCH_kernel.json`
+  records the measured ratios).  CI fails unless the tier resolves to
+  `native` on its image, and runs the whole tier-1 suite a second time
+  with `CC=false` and an empty build cache — a host with no compiler,
+  checked to resolve to `reference` first — to keep the fallback
+  covered.
 - **Zero-copy worker handoff.** `repro.exec.handoff.HandoffManager`
   keeps pool workers off the pickle highway: workloads of at least
   `DEFAULT_SPILL_ROWS` (64 Ki) requests spill to a digest-named `.trc`
@@ -340,8 +339,8 @@ byte-identical oracle:
   processor as priority — and keeps serving the popped processor while
   its next completion is still the earliest key.  On the native tier
   that loop runs compiled (`repro_lru_run`, with the shared LRU in an
-  open-addressing table); `REPRO_KERNEL=fast|reference`, or a host
-  without a compiler, run it in python over `LRUCache`.
+  open-addressing table); `REPRO_KERNEL=reference`, or a host without
+  a compiler, runs the per-timestep rescan over `LRUCache` instead.
 - **Arbitrary `k >= p >= 1`.** `HeightLattice` is a doubling ladder
   from `max(1, k // p)` clamped at `k` — identical to the paper's
   lattice on power-of-two inputs, well-defined on everything else, with
@@ -365,8 +364,9 @@ byte-identical oracle:
   windows held.  GLOBAL-LRU's compiled loop starts with every
   processor's first chunk installed and returns only to fetch a later
   one, and DET-PAR's and RAND-PAR's return only when a box runs past a
-  multi-chunk column's window; their python loops stream through
-  `request_feed` and the box server.  `TraceStore` checks at open that
+  multi-chunk column's window.  On the reference tier GLOBAL-LRU's
+  rescan streams through `request_feed`, and the box algorithms read
+  each column through its memory map.  `TraceStore` checks at open that
   its columns tile the payload exactly, and hands out their row
   offsets, rows and first-chunk rows as int64 arrays.
   `write_store` hands in-memory columns to the writer whole, so it
@@ -374,7 +374,7 @@ byte-identical oracle:
   `repro run --trace <ref> --stream` selects the path from the CLI;
   `sim.traces.*` counters record the chunk traffic.
 - **Differential lockdown.** `REPRO_KERNEL` is the one backend switch
-  (`native`, `fast` or `reference`).  `reference` routes every
+  (`native` or `reference`).  `reference` routes every
   simulator back to the retained oracles (per-timestep full rescan for
   GLOBAL-LRU, per-request `run_box` for the box algorithms, over the
   memory-mapped column when streamed), and every box walk to the
@@ -385,8 +385,7 @@ byte-identical oracle:
   traces, and (wall-stripped) `sim.*` snapshots across the
   `(k, p, algorithm, workload-family)` matrix, powers of two or not;
   `tests/parallel/test_differential.py` is the harness and CI's
-  `stream` job replays it end-to-end through the CLI on all three
-  tiers.
+  `stream` job replays it end-to-end through the CLI on both tiers.
 
 ## Observability
 
